@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   banner("E13 / end-to-end",
          "Wall-clock + simulated disk time at a common N, file-backed "
-         "disks (one file per disk, parallel pread/pwrite) and in-memory "
-         "backend.");
+         "disks (one file per disk, synchronous pread/pwrite) and "
+         "in-memory backend.");
 
   // --trace_out=FILE enables the phase tracer for the whole bench and
   // dumps Chrome trace_event JSON at exit (chrome://tracing / Perfetto);

@@ -11,7 +11,7 @@
 #include "internal/radix_partition.h"
 #include "util/generators.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/cpu_pool.h"
 
 namespace pdm {
 namespace {
@@ -32,13 +32,13 @@ BENCHMARK(BM_StdSort)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 21);
 
 void BM_ParallelSort(benchmark::State& state) {
   const usize n = static_cast<usize>(state.range(0));
-  ThreadPool pool(8);
+  CpuPool pool(8);
   Rng rng(1);
   auto base = make_keys(n, Dist::kUniform, rng);
   std::vector<u64> scratch(n);
   for (auto _ : state) {
     auto v = base;
-    internal_sort(std::span<u64>(v), std::less<u64>{}, &pool,
+    internal_sort(std::span<u64>(v), std::less<u64>{}, pool,
                   std::span<u64>(scratch));
     benchmark::DoNotOptimize(v.data());
   }

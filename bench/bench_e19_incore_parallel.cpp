@@ -1,6 +1,6 @@
 // E19 — parallel in-core kernels: multi-core inside one job. Three arms:
 //
-//  1. Kernel speedup: internal_sort_budgeted on an in-memory slab at CPU
+//  1. Kernel speedup: internal_sort on an in-memory slab at CPU
 //     budgets {1, 2, 4}, byte-equality against the serial std::sort and a
 //     wall-clock gate (--gate=S asserts >= S x at 4 threads; CI passes
 //     2.0 on its 4-core runners, --gate=0 skips the assertion on
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   auto expected = base;
   std::sort(expected.begin(), expected.end());
 
-  std::cout << "-- kernel: internal_sort_budgeted, n = "
+  std::cout << "-- kernel: internal_sort, n = "
             << fmt_count(n_kernel) << " records --\n";
   Table kt({"threads", "wall_s", "speedup", "bytes_equal"});
   jw.key("cpu").begin_arr();
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
     const double wall = best_of(3, [&] {
       out = base;
       Timer t;
-      internal_sort_budgeted(std::span<u64>(out), std::less<u64>{}, pool,
-                             std::span<u64>(scratch));
+      internal_sort(std::span<u64>(out), std::less<u64>{}, pool,
+                    std::span<u64>(scratch));
       return t.seconds();
     });
     const bool equal = out == expected;

@@ -35,7 +35,6 @@ struct ColumnsortOptions {
   u64 mem_records = 0;
   u64 rows = 0;  // 0 = derive from N (largest feasible c)
   u64 cols = 0;
-  ThreadPool* pool = nullptr;
 };
 
 struct ColumnsortGeometry {
@@ -89,13 +88,9 @@ SortResult<R> columnsort_cc_sort(PdmContext& ctx, const StripedRun<R>& input,
 
   TrackedBuffer<R> col(ctx.budget(), static_cast<usize>(r));
   TrackedBuffer<R> gather(ctx.budget(), static_cast<usize>(r));
-  TrackedBuffer<R> scratch;
-  if (opt.pool != nullptr) {
-    scratch = TrackedBuffer<R>(ctx.budget(), static_cast<usize>(r));
-  }
+  TrackedBuffer<R> scratch = sort_scratch<R>(ctx, static_cast<usize>(r));
   auto sort_col = [&](std::span<R> data) {
-    internal_sort(data, cmp, opt.pool,
-                  opt.pool != nullptr ? scratch.span() : std::span<R>{});
+    internal_sort(data, cmp, ctx.cpu_pool(), scratch.span());
   };
 
   // Pass 1: steps 1+2.

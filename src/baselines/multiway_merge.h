@@ -20,7 +20,6 @@ struct MultiwaySortOptions {
   usize lookahead = 1;     // prefetched blocks per run (0 = naive)
   usize refill_batch = 0;  // 0 = D
   u64 fan_in = 0;          // 0 = maximum that fits in memory
-  ThreadPool* pool = nullptr;
   usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
@@ -58,7 +57,6 @@ SortResult<R> multiway_merge_sort(PdmContext& ctx,
 
   RunFormationOptions fopt;
   fopt.run_len = mem;
-  fopt.pool = opt.pool;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
 
   SortResult<R> result;

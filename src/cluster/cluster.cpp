@@ -628,6 +628,10 @@ JobInfo Cluster::wait(JobId id) {
     auto svc = slots_[p.shard].service;
     lock.unlock();
     JobInfo info = svc->wait(p.local);
+    // Drop the shard reference before re-taking mu_: if the shard retired
+    // meanwhile this may be the last one, and ~SortService joins workers
+    // that can be blocked on mu_ inside the capacity callback.
+    svc.reset();
     lock.lock();
     if (info.state == JobState::kMigrated) {
       // Extracted off a draining shard between our placement read and
@@ -678,6 +682,7 @@ JobInfo Cluster::info(JobId id) const {
       // The record vanished under us (extraction or retention); if the
       // placement moved on, retry against the new home — otherwise it
       // really is gone.
+      svc.reset();  // never release a shard under mu_ (see wait())
       lock.lock();
       auto again = jobs_.find(id);
       if (again != jobs_.end() && again->second.shard == p.shard &&
@@ -686,6 +691,7 @@ JobInfo Cluster::info(JobId id) const {
       }
       continue;
     }
+    svc.reset();
     lock.lock();
     if (migrated) {
       // Extracted off a draining shard; wait for the re-placement.
@@ -739,6 +745,7 @@ bool Cluster::cancel(JobId id) {
     auto svc = slots_[p.shard].service;
     lock.unlock();
     const bool ok = svc->cancel(p.local);
+    svc.reset();  // never release a shard under mu_ (see wait())
     lock.lock();
     if (ok) return true;
     // A false may mean "terminal" — or "migrated away mid-call". Retry
@@ -774,6 +781,7 @@ bool Cluster::forget(JobId id) {
   // The shard refuses while the job is queued/running; a record the
   // shard's retention policy already dropped counts as forgotten.
   const bool dropped = svc->forget(p.local) || !svc->known(p.local);
+  svc.reset();  // never release a shard under mu_ (see wait())
   lock.lock();
   auto again = jobs_.find(id);
   if (again == jobs_.end() || again->second.shard != p.shard ||
@@ -1072,11 +1080,19 @@ ClusterStats Cluster::stats() const {
     c.io.write_ops += s.io.write_ops;
     c.io.blocks_read += s.io.blocks_read;
     c.io.blocks_written += s.io.blocks_written;
+    c.io.read_calls += s.io.read_calls;
+    c.io.write_calls += s.io.write_calls;
     c.io.sim_time_s += s.io.sim_time_s;
     c.io.disk_reads.insert(c.io.disk_reads.end(), s.io.disk_reads.begin(),
                            s.io.disk_reads.end());
     c.io.disk_writes.insert(c.io.disk_writes.end(), s.io.disk_writes.begin(),
                             s.io.disk_writes.end());
+    c.io.disk_read_calls.insert(c.io.disk_read_calls.end(),
+                                s.io.disk_read_calls.begin(),
+                                s.io.disk_read_calls.end());
+    c.io.disk_write_calls.insert(c.io.disk_write_calls.end(),
+                                 s.io.disk_write_calls.begin(),
+                                 s.io.disk_write_calls.end());
     c.blocks_per_shard.push_back(s.io.total_blocks());
   }
   // Hold-queue terminals never reached a shard; parked jobs have not

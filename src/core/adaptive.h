@@ -208,7 +208,6 @@ inline PlanEntry choose_plan(u64 n, u64 mem, u64 rpb, double alpha,
 struct AdaptiveOptions {
   u64 mem_records = 0;
   double alpha = 1.0;
-  ThreadPool* pool = nullptr;
   std::optional<Algo> force;  // override the planner
   u64 est_runs = 0;           // presortedness estimate (0 = none)
   bool probe = false;         // probe the input when est_runs == 0
@@ -236,18 +235,11 @@ SortResult<R> pdm_sort(PdmContext& ctx, const StripedRun<R>& input,
       ReportBuilder rb(ctx, "InternalSort", input.size(), opt.mem_records,
                        rpb);
       TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(opt.mem_records));
-      TrackedBuffer<R> scratch;  // only acquired on the parallel path
-      if (ctx.cpu_budget() >= 2) {
-        scratch = TrackedBuffer<R>(ctx.budget(), buf.size());
-      }
+      TrackedBuffer<R> scratch = sort_scratch<R>(ctx, buf.size());
       const u64 nb = input.num_blocks();
       input.read_blocks(0, nb, buf.data());
       std::span<R> recs(buf.data(), static_cast<usize>(input.size()));
-      if (ctx.cpu_budget() >= 2) {
-        internal_sort_budgeted(recs, cmp, ctx.cpu_pool(), scratch.span());
-      } else {
-        internal_sort(recs, cmp, opt.pool);
-      }
+      internal_sort(recs, cmp, ctx.cpu_pool(), scratch.span());
       SortResult<R> res;
       res.output = StripedRun<R>(ctx, 0);
       res.output.append(std::span<const R>(recs.data(), recs.size()));
@@ -259,52 +251,44 @@ SortResult<R> pdm_sort(PdmContext& ctx, const StripedRun<R>& input,
       ExpectedTwoPassOptions o;
       o.mem_records = opt.mem_records;
       o.alpha = opt.alpha;
-      o.pool = opt.pool;
       return expected_two_pass_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kThreePassLmm: {
       ThreePassLmmOptions o;
       o.mem_records = opt.mem_records;
-      o.pool = opt.pool;
       return three_pass_lmm_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kThreePassMesh: {
       ThreePassMeshOptions o;
       o.mem_records = opt.mem_records;
-      o.pool = opt.pool;
       return three_pass_mesh_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kExpectedThreePass: {
       ExpectedThreePassOptions o;
       o.mem_records = opt.mem_records;
       o.alpha = opt.alpha;
-      o.pool = opt.pool;
       return expected_three_pass_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kExpectedSixPass: {
       ExpectedSixPassOptions o;
       o.mem_records = opt.mem_records;
       o.alpha = opt.alpha;
-      o.pool = opt.pool;
       return expected_six_pass_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kSevenPass: {
       SevenPassOptions o;
       o.mem_records = opt.mem_records;
-      o.pool = opt.pool;
       return seven_pass_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kMultiwayMerge: {
       MultiwaySortOptions o;
       o.mem_records = opt.mem_records;
-      o.pool = opt.pool;
       return multiway_merge_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kOrderAdaptive: {
       OrderAdaptiveOptions o;
       o.mem_records = opt.mem_records;
       o.mode = opt.adaptive_mode;
-      o.pool = opt.pool;
       return order_adaptive_sort<R>(ctx, input, o, cmp);
     }
   }

@@ -23,7 +23,6 @@ struct ExpectedSixPassOptions {
   u64 mem_records = 0;
   double alpha = 1.0;
   u64 segment_len = 0;  // 0 = choose: largest multiple of M^{?}; see below
-  ThreadPool* pool = nullptr;
 };
 
 namespace detail {
@@ -77,7 +76,6 @@ SortResult<R> expected_six_pass_sort(PdmContext& ctx,
   // Pass 1: M-record runs over the whole input.
   RunFormationOptions fopt;
   fopt.run_len = mem;
-  fopt.pool = opt.pool;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
   const u64 runs_per_seg = seg_len / mem;
 
@@ -99,7 +97,6 @@ SortResult<R> expected_six_pass_sort(PdmContext& ctx,
       CleanupOptions copt;
       copt.chunk_records = chunk;
       copt.abort_on_violation = true;
-      copt.pool = opt.pool;
       ok = streamed_cleanup<R>(ctx, source, usink, copt, cmp).ok;
     }
     if (!ok) {
@@ -115,7 +112,6 @@ SortResult<R> expected_six_pass_sort(PdmContext& ctx,
       UnshuffleSink<R> usink(ctx, std::span<StripedRun<R>>(parts_i.data(), s));
       LmmOptions lopt;
       lopt.mem_records = mem;
-      lopt.pool = opt.pool;
       const CleanupOutcome oc = lmm_merge<R>(ctx, seg_runs, usink, lopt, cmp);
       PDM_ASSERT(oc.ok, "segment fallback violated its dirty bound");
     }
@@ -126,7 +122,7 @@ SortResult<R> expected_six_pass_sort(PdmContext& ctx,
   result.output = StripedRun<R>(ctx, 0);
   RunSink<R> sink(result.output);
   const CleanupOutcome oc =
-      lmm_outer_tail<R>(ctx, outer_parts, sink, mem, opt.pool, cmp);
+      lmm_outer_tail<R>(ctx, outer_parts, sink, mem, cmp);
   PDM_ASSERT(oc.ok, "ExpectedSixPass outer dirty bound violated");
   PDM_ASSERT(oc.emitted == n, "record count mismatch in ExpectedSixPass");
 

@@ -27,7 +27,6 @@ struct ExpectedThreePassOptions {
   u64 mem_records = 0;
   double alpha = 1.0;
   u64 segment_len = 0;  // 0 = choose automatically
-  ThreadPool* pool = nullptr;
   usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
@@ -79,7 +78,6 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
   // Pass 1: M-record runs over the whole input.
   RunFormationOptions fopt;
   fopt.run_len = mem;
-  fopt.pool = opt.pool;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
   const u64 runs_per_seg = seg_len / mem;
 
@@ -98,7 +96,6 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
       CleanupOptions copt;
       copt.chunk_records = chunk;
       copt.abort_on_violation = true;
-      copt.pool = opt.pool;
       ok = streamed_cleanup<R>(ctx, source, sink, copt, cmp).ok;
     }
     if (!ok) {
@@ -109,7 +106,6 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
       RunSink<R> sink(sorted);
       LmmOptions lopt;
       lopt.mem_records = mem;
-      lopt.pool = opt.pool;
       const CleanupOutcome oc = lmm_merge<R>(ctx, seg_runs, sink, lopt, cmp);
       PDM_ASSERT(oc.ok, "segment fallback violated its dirty bound");
     }
@@ -127,7 +123,6 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
     CleanupOptions copt;
     copt.chunk_records = chunk;
     copt.abort_on_violation = true;
-    copt.pool = opt.pool;
     const CleanupOutcome oc = streamed_cleanup<R>(ctx, source, sink, copt, cmp);
     if (oc.ok) {
       PDM_ASSERT(oc.emitted == n, "record count mismatch");
@@ -155,7 +150,6 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
   if (lmm_feasible) {
     LmmOptions lopt;
     lopt.mem_records = mem;
-    lopt.pool = opt.pool;
     const CleanupOutcome oc = lmm_merge<R>(
         ctx, std::span<const StripedRun<R>>(seg_sorted), sink, lopt, cmp);
     PDM_ASSERT(oc.ok && oc.emitted == n, "final fallback merge failed");

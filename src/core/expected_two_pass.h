@@ -33,7 +33,6 @@ struct ExpectedTwoPassOptions {
   u64 run_len = 0;             // 0 => M (§5); mesh variant: N/sqrt(M)
   bool resort_from_scratch = false;  // paper-literal fallback
   bool enforce_capacity = false;     // refuse N beyond the w.h.p. bound
-  ThreadPool* pool = nullptr;
   usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
@@ -66,7 +65,6 @@ SortResult<R> expected_two_pass_sort(PdmContext& ctx,
   // Pass 1.
   RunFormationOptions fopt;
   fopt.run_len = run_len;
-  fopt.pool = opt.pool;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
 
   // Pass 2: shuffle + window cleanup with on-line verification.
@@ -80,7 +78,6 @@ SortResult<R> expected_two_pass_sort(PdmContext& ctx,
     CleanupOptions copt;
     copt.chunk_records = chunk;
     copt.abort_on_violation = true;
-    copt.pool = opt.pool;
     const CleanupOutcome oc = streamed_cleanup<R>(ctx, source, sink, copt, cmp);
     if (oc.ok) {
       PDM_ASSERT(oc.emitted == n, "record count mismatch in ExpectedTwoPass");
@@ -99,14 +96,12 @@ SortResult<R> expected_two_pass_sort(PdmContext& ctx,
   if (opt.resort_from_scratch) {
     ThreePassLmmOptions topt;
     topt.mem_records = mem;
-    topt.pool = opt.pool;
     auto res = three_pass_lmm_sort<R>(ctx, input, topt, cmp);
     result.output = std::move(res.output);
   } else {
     RunSink<R> sink(result.output);
     LmmOptions lopt;
     lopt.mem_records = mem;
-    lopt.pool = opt.pool;
     const CleanupOutcome oc = lmm_merge<R>(
         ctx, std::span<const StripedRun<R>>(runs.data(), runs.size()), sink,
         lopt, cmp);

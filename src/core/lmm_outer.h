@@ -14,7 +14,7 @@ namespace pdm {
 template <Record R, class Cmp = std::less<R>>
 CleanupOutcome lmm_outer_tail(PdmContext& ctx, const FormedRuns<R>& parts,
                               Sink<R>& sink, u64 mem_records,
-                              ThreadPool* pool, Cmp cmp = {}) {
+                              Cmp cmp = {}) {
   const usize rpb = ctx.rpb<R>();
   const usize l = parts.size();          // outer sequences
   PDM_CHECK(l > 0, "no outer parts");
@@ -27,7 +27,6 @@ CleanupOutcome lmm_outer_tail(PdmContext& ctx, const FormedRuns<R>& parts,
   q.reserve(m);
   LmmOptions lopt;
   lopt.mem_records = mem_records;
-  lopt.pool = pool;
   for (usize j = 0; j < m; ++j) {
     std::vector<StripedRun<R>> group;
     group.reserve(l);
@@ -53,7 +52,6 @@ CleanupOutcome lmm_outer_tail(PdmContext& ctx, const FormedRuns<R>& parts,
   CleanupOptions copt;
   copt.chunk_records = chunk;
   copt.abort_on_violation = false;
-  copt.pool = pool;
   return streamed_cleanup<R>(ctx, source, sink, copt, cmp);
 }
 

@@ -117,7 +117,6 @@ struct OrderAdaptiveOptions {
   usize lookahead = 1;     // forecasting prefetch per run (0 = naive)
   usize refill_batch = 0;  // 0 = D
   u64 fan_in = 0;          // 0 = maximum that fits in memory
-  ThreadPool* pool = nullptr;
 };
 
 /// Merge fan-in at the given shape (same memory split as the multiway
@@ -161,7 +160,6 @@ SortResult<R> order_adaptive_sort(PdmContext& ctx, const StripedRun<R>& input,
 
   RunFormationOptions fopt;
   fopt.run_len = mem;
-  fopt.pool = opt.pool;
   fopt.mode = opt.mode;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
 

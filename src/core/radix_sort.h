@@ -36,7 +36,7 @@ struct RadixState {
   BucketPlacement placement;
   StripedRun<R>* out;
   TrackedBuffer<R>* leaf_buf;
-  TrackedBuffer<R>* scratch_buf;  // parallel leaf-sort scratch; null when
+  TrackedBuffer<R>* scratch_buf;  // parallel leaf-sort scratch; empty when
                                   // the kernel budget is 1 (serial path)
   TrackedBuffer<R>* io_buf;  // block-granular staging: a ragged bucket of
                              // <= M records can span far more than M/B
@@ -96,12 +96,7 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
     auto cmp = [](const R& a, const R& b) {
       return record_key(a) < record_key(b);
     };
-    if (st.scratch_buf != nullptr) {
-      internal_sort_budgeted(recs, cmp, st.ctx->cpu_pool(),
-                             st.scratch_buf->span());
-    } else {
-      std::sort(recs.begin(), recs.end(), cmp);
-    }
+    internal_sort(recs, cmp, st.ctx->cpu_pool(), st.scratch_buf->span());
     st.out->append(std::span<const R>(recs.data(), recs.size()));
     group_n = 0;
   };
@@ -167,21 +162,14 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
   if (input.size() <= mem) {
     // Fits in memory: one read + one write pass.
     TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(mem));
-    TrackedBuffer<R> scratch;  // acquired only on the parallel path
-    if (ctx.cpu_budget() >= 2) {
-      scratch = TrackedBuffer<R>(ctx.budget(), buf.size());
-    }
+    TrackedBuffer<R> scratch = sort_scratch<R>(ctx, buf.size());
     StripedRunReader<R> reader(input);
     usize n = 0;
     while (!reader.exhausted()) {
       n += reader.read_up_to(buf.data() + n, buf.size() - n);
     }
     std::span<R> recs(buf.data(), n);
-    if (ctx.cpu_budget() >= 2) {
-      internal_sort_budgeted(recs, key_cmp, ctx.cpu_pool(), scratch.span());
-    } else {
-      std::sort(recs.begin(), recs.end(), key_cmp);
-    }
+    internal_sort(recs, key_cmp, ctx.cpu_pool(), scratch.span());
     result.output.append(std::span<const R>(recs.data(), n));
     result.output.finish();
     result.report = rb.finish();
@@ -189,10 +177,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
   }
 
   TrackedBuffer<R> leaf_buf(ctx.budget(), static_cast<usize>(mem));
-  TrackedBuffer<R> leaf_scratch;  // acquired only on the parallel path
-  if (ctx.cpu_budget() >= 2) {
-    leaf_scratch = TrackedBuffer<R>(ctx.budget(), leaf_buf.size());
-  }
+  TrackedBuffer<R> leaf_scratch = sort_scratch<R>(ctx, leaf_buf.size());
   TrackedBuffer<R> io_buf(ctx.budget(), static_cast<usize>(mem));
   detail::RadixState<R> st{&ctx,
                            mem,
@@ -201,7 +186,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                            opt.placement,
                            &result.output,
                            &leaf_buf,
-                           ctx.cpu_budget() >= 2 ? &leaf_scratch : nullptr,
+                           &leaf_scratch,
                            &io_buf};
   const u32 kb = std::max<u32>(opt.key_bits, 1);
   const u32 top_shift = kb <= w ? 0 : ((kb - 1) / w) * w;

@@ -19,7 +19,6 @@ namespace pdm {
 
 struct SevenPassOptions {
   u64 mem_records = 0;
-  ThreadPool* pool = nullptr;
 };
 
 template <Record R, class Cmp = std::less<R>>
@@ -48,7 +47,6 @@ SortResult<R> seven_pass_sort(PdmContext& ctx, const StripedRun<R>& input,
     fopt.unshuffle_parts = static_cast<u32>(mem / rpb);  // = s
     fopt.first_record = i * seg_len;
     fopt.num_records = seg_len;
-    fopt.pool = opt.pool;
     auto inner_parts = form_sorted_runs<R>(ctx, input, fopt, cmp);
 
     auto& parts_i = outer_parts[static_cast<usize>(i)];
@@ -60,7 +58,6 @@ SortResult<R> seven_pass_sort(PdmContext& ctx, const StripedRun<R>& input,
                            std::span<StripedRun<R>>(parts_i.data(), s));
     LmmOptions lopt;
     lopt.mem_records = mem;
-    lopt.pool = opt.pool;
     const CleanupOutcome oc =
         lmm_merge_from_parts<R>(ctx, inner_parts, usink, lopt, cmp);
     PDM_ASSERT(oc.ok, "SevenPass stage-1 dirty bound violated");
@@ -71,7 +68,7 @@ SortResult<R> seven_pass_sort(PdmContext& ctx, const StripedRun<R>& input,
   result.output = StripedRun<R>(ctx, 0);
   RunSink<R> sink(result.output);
   const CleanupOutcome oc =
-      lmm_outer_tail<R>(ctx, outer_parts, sink, mem, opt.pool, cmp);
+      lmm_outer_tail<R>(ctx, outer_parts, sink, mem, cmp);
   PDM_ASSERT(oc.ok, "SevenPass outer dirty bound violated");
   PDM_ASSERT(oc.emitted == n, "record count mismatch in SevenPass");
 

@@ -18,7 +18,6 @@ namespace pdm {
 
 struct ThreePassLmmOptions {
   u64 mem_records = 0;
-  ThreadPool* pool = nullptr;
 };
 
 template <Record R, class Cmp = std::less<R>>
@@ -39,7 +38,6 @@ SortResult<R> three_pass_lmm_sort(PdmContext& ctx, const StripedRun<R>& input,
   RunFormationOptions fopt;
   fopt.run_len = mem;
   fopt.unshuffle_parts = static_cast<u32>(mem / rpb);
-  fopt.pool = opt.pool;
   auto parts = form_sorted_runs<R>(ctx, input, fopt, cmp);
 
   // Passes 2 + 3.
@@ -48,7 +46,6 @@ SortResult<R> three_pass_lmm_sort(PdmContext& ctx, const StripedRun<R>& input,
   RunSink<R> sink(result.output);
   LmmOptions lopt;
   lopt.mem_records = mem;
-  lopt.pool = opt.pool;
   const CleanupOutcome oc = lmm_merge_from_parts<R>(ctx, parts, sink, lopt, cmp);
   PDM_ASSERT(oc.ok, "deterministic LMM dirty bound violated");
   PDM_ASSERT(oc.emitted == n, "record count mismatch in ThreePass2");

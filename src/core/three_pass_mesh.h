@@ -24,7 +24,6 @@ namespace pdm {
 
 struct ThreePassMeshOptions {
   u64 mem_records = 0;
-  ThreadPool* pool = nullptr;
 };
 
 template <Record R, class Cmp = std::less<R>>
@@ -49,14 +48,10 @@ SortResult<R> three_pass_mesh_sort(PdmContext& ctx,
   {  // Pass 1: band sort + transpose-to-column-blocks write.
     TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(mem));
     TrackedBuffer<R> colmajor(ctx.budget(), static_cast<usize>(mem));
-    TrackedBuffer<R> scratch;
-    if (opt.pool != nullptr) {
-      scratch = TrackedBuffer<R>(ctx.budget(), static_cast<usize>(mem));
-    }
+    TrackedBuffer<R> scratch = sort_scratch<R>(ctx, static_cast<usize>(mem));
     for (u64 band = 0; band < s; ++band) {
       input.read_blocks(band * s, s, load.data());
-      internal_sort(load.span(), cmp, opt.pool,
-                    opt.pool != nullptr ? scratch.span() : std::span<R>{});
+      internal_sort(load.span(), cmp, ctx.cpu_pool(), scratch.span());
       const bool reversed = (band % 2) == 1;
       // Sorted band, row-major; rows of odd bands run right-to-left.
       // Column block c = entries of column c for rows 0..s-1.
@@ -71,14 +66,10 @@ SortResult<R> three_pass_mesh_sort(PdmContext& ctx,
 
   {  // Pass 2: sort every mesh column.
     TrackedBuffer<R> col(ctx.budget(), static_cast<usize>(mem));
-    TrackedBuffer<R> scratch;
-    if (opt.pool != nullptr) {
-      scratch = TrackedBuffer<R>(ctx.budget(), static_cast<usize>(mem));
-    }
+    TrackedBuffer<R> scratch = sort_scratch<R>(ctx, static_cast<usize>(mem));
     for (u64 c = 0; c < s; ++c) {
       mat.read_block_col(c, col.data());
-      internal_sort(col.span(), cmp, opt.pool,
-                    opt.pool != nullptr ? scratch.span() : std::span<R>{});
+      internal_sort(col.span(), cmp, ctx.cpu_pool(), scratch.span());
       mat.write_block_col(c, col.data());
     }
   }
@@ -91,7 +82,6 @@ SortResult<R> three_pass_mesh_sort(PdmContext& ctx,
   CleanupOptions copt;
   copt.chunk_records = mem;
   copt.abort_on_violation = false;
-  copt.pool = opt.pool;
   const CleanupOutcome oc = streamed_cleanup<R>(ctx, source, sink, copt, cmp);
   PDM_ASSERT(oc.ok, "mesh dirty band exceeded the cleanup window");
   PDM_ASSERT(oc.emitted == n, "record count mismatch in ThreePass1");

@@ -3,7 +3,9 @@
 // The PDM model charges nothing for local computation, but the wall-clock
 // benches still want a fast internal sort: internal_sort uses std::sort for
 // small inputs and a chunked parallel mergesort (scratch-based ping-pong)
-// when a pool and scratch space are supplied.
+// when the CPU budget allows and scratch space is supplied. Every sorter
+// reaches it the same way: sort_scratch(ctx, n) once per buffer, then
+// internal_sort(span, cmp, ctx.cpu_pool(), scratch.span()) per load.
 #pragma once
 
 #include <algorithm>
@@ -11,68 +13,16 @@
 #include <span>
 #include <vector>
 
+#include "pdm/pdm_context.h"
 #include "util/common.h"
 #include "util/cpu_pool.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace pdm {
 
-/// Sorts `data`. If `pool` is non-null and `scratch.size() >= data.size()`,
-/// sorts chunks in parallel and merges pairwise through the scratch buffer;
-/// otherwise falls back to std::sort (in-place, no extra memory).
-template <class R, class Cmp = std::less<R>>
-void internal_sort(std::span<R> data, Cmp cmp = {}, ThreadPool* pool = nullptr,
-                   std::span<R> scratch = {}) {
-  constexpr usize kParallelThreshold = 1u << 15;
-  if (pool == nullptr || scratch.size() < data.size() ||
-      data.size() < kParallelThreshold || pool->size() < 2) {
-    std::sort(data.begin(), data.end(), cmp);
-    return;
-  }
-  const usize n = data.size();
-  const usize chunks0 = std::min<usize>(pool->size(), n / (1u << 13));
-  usize chunks = std::max<usize>(2, chunks0);
-  const usize step = (n + chunks - 1) / chunks;
-
-  std::vector<usize> bounds;
-  for (usize b = 0; b <= n; b += step) bounds.push_back(std::min(b, n));
-  if (bounds.back() != n) bounds.push_back(n);
-
-  pool->parallel_for(0, bounds.size() - 1, [&](usize lo, usize hi) {
-    for (usize i = lo; i < hi; ++i) {
-      std::sort(data.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                data.begin() + static_cast<std::ptrdiff_t>(bounds[i + 1]), cmp);
-    }
-  });
-
-  // Pairwise merge rounds, ping-ponging between data and scratch.
-  R* src = data.data();
-  R* dst = scratch.data();
-  while (bounds.size() > 2) {
-    std::vector<usize> next_bounds;
-    next_bounds.push_back(0);
-    const usize pairs = (bounds.size() - 1 + 1) / 2;
-    pool->parallel_for(0, pairs, [&](usize lo, usize hi) {
-      for (usize p = lo; p < hi; ++p) {
-        const usize a = bounds[2 * p];
-        const usize b = bounds[std::min(bounds.size() - 1, 2 * p + 1)];
-        const usize c = bounds[std::min(bounds.size() - 1, 2 * p + 2)];
-        std::merge(src + a, src + b, src + b, src + c, dst + a, cmp);
-      }
-    });
-    for (usize p = 0; p < pairs; ++p) {
-      next_bounds.push_back(bounds[std::min(bounds.size() - 1, 2 * p + 2)]);
-    }
-    bounds = std::move(next_bounds);
-    std::swap(src, dst);
-  }
-  if (src != data.data()) {
-    std::copy(src, src + n, data.data());
-  }
-}
-
-/// Budgeted variant for the in-core kernel layer (PdmContext::cpu_pool()).
+/// Sorts `data` under `pool`'s CPU budget: a chunked parallel mergesort
+/// that ping-pongs through `scratch` when the budget is >= 2, the input is
+/// large and `scratch.size() >= data.size()`; std::sort in place otherwise.
 ///
 /// Determinism: the chunk tree is a function of n ONLY — never of the
 /// budget — so every budget >= 2 sorts the same chunks and merges the same
@@ -82,8 +32,8 @@ void internal_sort(std::span<R> data, Cmp cmp = {}, ThreadPool* pool = nullptr,
 /// byte-for-byte whenever elements that compare equal are indistinguishable
 /// (true for the repo's key-only record types).
 template <class R, class Cmp = std::less<R>>
-void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
-                            std::span<R> scratch) {
+void internal_sort(std::span<R> data, Cmp cmp, CpuPool& pool,
+                   std::span<R> scratch) {
   constexpr usize kParallelThreshold = 1u << 14;
   const usize n = data.size();
   if (pool.budget() < 2 || scratch.size() < n || n < kParallelThreshold) {
@@ -129,10 +79,14 @@ void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
   }
 }
 
-/// Convenience: returns true iff the span is sorted under cmp.
-template <class R, class Cmp = std::less<R>>
-bool is_sorted_span(std::span<const R> data, Cmp cmp = {}) {
-  return std::is_sorted(data.begin(), data.end(), cmp);
+/// Scratch for internal_sort of up to `n` records under ctx's CPU budget.
+/// Acquired (and charged to the memory budget) only when the budget is
+/// >= 2, so a serial sort's footprint is unchanged; an empty buffer makes
+/// internal_sort take the std::sort path.
+template <class R>
+TrackedBuffer<R> sort_scratch(PdmContext& ctx, usize n) {
+  if (ctx.cpu_budget() < 2) return {};
+  return TrackedBuffer<R>(ctx.budget(), n);
 }
 
 }  // namespace pdm

@@ -1,8 +1,9 @@
 // Abstract storage backend for the simulated disk array.
 //
 // Implementations: MemoryDiskBackend (default; per-disk byte arrays) and
-// FileDiskBackend (one OS file per disk with I/O issued concurrently from a
-// thread pool). The IoScheduler guarantees that each batch passed here
+// FileDiskBackend (one OS file per disk, pread/pwrite). Cross-disk
+// concurrency comes from the AsyncIoScheduler's per-disk workers, not
+// from the backends. The IoScheduler guarantees that each batch passed here
 // contains at most one request per disk — i.e. a batch IS one parallel
 // I/O. A request may span `count` physically contiguous blocks (an
 // extent): backends execute it as one transfer — a single syscall on the

@@ -9,8 +9,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "util/thread_pool.h"
-
 namespace pdm {
 
 namespace fs = std::filesystem;
@@ -154,25 +152,11 @@ void FileDiskBackend::exec_write(const WriteReq& w) const {
 }
 
 void FileDiskBackend::read_batch(std::span<const ReadReq> reqs) {
-  auto& pool = ThreadPool::global();
-  if (reqs.size() <= 1) {
-    for (const auto& r : reqs) exec_read(r);
-    return;
-  }
-  pool.parallel_for(0, reqs.size(), [&](usize lo, usize hi) {
-    for (usize i = lo; i < hi; ++i) exec_read(reqs[i]);
-  });
+  for (const auto& r : reqs) exec_read(r);
 }
 
 void FileDiskBackend::write_batch(std::span<const WriteReq> reqs) {
-  auto& pool = ThreadPool::global();
-  if (reqs.size() <= 1) {
-    for (const auto& w : reqs) exec_write(w);
-  } else {
-    pool.parallel_for(0, reqs.size(), [&](usize lo, usize hi) {
-      for (usize i = lo; i < hi; ++i) exec_write(reqs[i]);
-    });
-  }
+  for (const auto& w : reqs) exec_write(w);
   std::lock_guard g(marks_mu_);
   for (const auto& w : reqs) {
     blocks_written_[w.where.disk] =

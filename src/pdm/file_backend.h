@@ -1,6 +1,7 @@
-// File-backed disk array: one file per simulated disk, I/O issued with
-// pread/pwrite concurrently from the global thread pool so a parallel I/O
-// operation really does hit all D "disks" at once. Extent requests
+// File-backed disk array: one file per simulated disk. A batch's requests
+// run inline, in order, on the calling thread; cross-disk concurrency
+// comes from the AsyncIoScheduler's per-disk workers (async depth >= 2),
+// which each hand the backend one request per call. Extent requests
 // (count > 1) execute as a single pread/pwrite when the buffer is
 // contiguous and as preadv/pwritev scatter/gather when the per-block
 // buffers sit at a uniform stride — one syscall per extent either way.

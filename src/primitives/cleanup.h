@@ -50,8 +50,6 @@ struct CleanupOptions {
   u64 chunk_records = 0;            // d; window is 2d
   bool abort_on_violation = true;   // expected algorithms abort; the
                                     // deterministic ones treat it as a bug
-  ThreadPool* pool = nullptr;       // optional parallel window sort
-  std::span<std::byte> unused{};    // reserved
 };
 
 template <Record R, class Cmp = std::less<R>>
@@ -65,14 +63,9 @@ CleanupOutcome streamed_cleanup(PdmContext& ctx, ChunkSource<R>& source,
   trace::TraceSpan trace_span("pass", "cleanup", "chunk_records", chunk);
 
   TrackedBuffer<R> window(ctx.budget(), 2 * chunk);
-  // Optional scratch for the parallel window sort (documented extra
-  // slack): legacy pool path, or the kernel budget granted by the
-  // service's CPU arbiter (serial budget-1 jobs acquire nothing extra).
-  const bool cpu_parallel = opt.pool == nullptr && ctx.cpu_budget() >= 2;
-  TrackedBuffer<R> scratch;
-  if (opt.pool != nullptr || cpu_parallel) {
-    scratch = TrackedBuffer<R>(ctx.budget(), 2 * chunk);
-  }
+  // Scratch for the parallel window sort (documented extra slack); serial
+  // budget-1 jobs acquire nothing extra.
+  TrackedBuffer<R> scratch = sort_scratch<R>(ctx, 2 * chunk);
 
   CleanupOutcome out;
   usize held = 0;
@@ -84,15 +77,8 @@ CleanupOutcome streamed_cleanup(PdmContext& ctx, ChunkSource<R>& source,
     const usize got = source.next_chunk(window.data() + held, chunk);
     if (got == 0 && source.exhausted()) break;
     const usize total = held + got;
-    if (cpu_parallel) {
-      internal_sort_budgeted(std::span<R>(window.data(), total), cmp,
-                             ctx.cpu_pool(), scratch.span());
-    } else {
-      internal_sort(std::span<R>(window.data(), total), cmp, opt.pool,
-                    opt.pool != nullptr
-                        ? std::span<R>(scratch.data(), scratch.size())
-                        : std::span<R>{});
-    }
+    internal_sort(std::span<R>(window.data(), total), cmp, ctx.cpu_pool(),
+                  scratch.span());
     usize emit;
     if (source.exhausted()) {
       emit = total;  // final flush

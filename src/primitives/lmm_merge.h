@@ -29,7 +29,6 @@ namespace pdm {
 struct LmmOptions {
   u64 mem_records = 0;  // M
   u64 m = 0;            // 0 = choose automatically
-  ThreadPool* pool = nullptr;
 };
 
 namespace detail {
@@ -164,7 +163,6 @@ CleanupOutcome lmm_merge_from_parts(PdmContext& ctx,
   CleanupOptions copt;
   copt.chunk_records = chunk;
   copt.abort_on_violation = false;
-  copt.pool = opt.pool;
   return streamed_cleanup<R>(ctx, source, sink, copt, cmp);
 }
 

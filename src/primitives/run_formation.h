@@ -48,8 +48,6 @@ struct RunFormationOptions {
   u32 unshuffle_parts = 1;  // m; run_len must be a multiple of m*B when m>1
   u64 first_record = 0;     // block-aligned start of the input range
   u64 num_records = 0;      // 0 = to the end of the input
-  ThreadPool* pool = nullptr;         // parallel internal sort
-  bool parallel_scratch = false;      // allocate scratch for the pool path
   RunFormationMode mode = RunFormationMode::kFixed;  // adaptive modes: m == 1
 };
 
@@ -110,16 +108,7 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
   trace::TraceSpan trace_span("pass", "run_formation", "records", n);
 
   TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(run_len));
-  TrackedBuffer<R> scratch;
-  const bool parallel = opt.pool != nullptr && opt.parallel_scratch;
-  // In-core kernel budget (PdmContext::cpu_budget): when the service
-  // arbiter granted >= 2 threads, sort each memory load through the
-  // budgeted kernel. Scratch is only acquired on that path, so the
-  // serial (budget 1) memory footprint is unchanged.
-  const bool cpu_parallel = !parallel && ctx.cpu_budget() >= 2;
-  if (parallel || cpu_parallel) {
-    scratch = TrackedBuffer<R>(ctx.budget(), load.size());
-  }
+  TrackedBuffer<R> scratch = sort_scratch<R>(ctx, load.size());
   TrackedBuffer<R> parts_buf;
   if (m > 1) parts_buf = TrackedBuffer<R>(ctx.budget(), load.size());
 
@@ -162,14 +151,8 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
       input.read_blocks(b0, nblocks, load.data());
       buf = load.data();
     }
-    if (cpu_parallel) {
-      internal_sort_budgeted(std::span<R>(buf, static_cast<usize>(nrec)), cmp,
-                             ctx.cpu_pool(), scratch.span());
-    } else {
-      internal_sort(std::span<R>(buf, static_cast<usize>(nrec)), cmp,
-                    parallel ? opt.pool : nullptr,
-                    parallel ? scratch.span() : std::span<R>{});
-    }
+    internal_sort(std::span<R>(buf, static_cast<usize>(nrec)), cmp,
+                  ctx.cpu_pool(), scratch.span());
 
     std::vector<StripedRun<R>>& runs_i = out.emplace_back();
     if (m == 1) {

@@ -213,7 +213,6 @@ struct JobExec {
   u64 mem_records;
   double alpha;
   PlanCache& plans;
-  ThreadPool* pool = nullptr;
   SortReport report;
 };
 

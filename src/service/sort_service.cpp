@@ -803,8 +803,7 @@ void SortService::run_one(Job& job, PdmContext& ctx) {
   std::string error;
   bool ok = true;
   try {
-    JobExec ex{ctx,         job.spec.mem_records, job.spec.alpha,
-               plans_,      cfg_.sort_pool,       {}};
+    JobExec ex{ctx, job.spec.mem_records, job.spec.alpha, plans_, {}};
     job.run(ex);
     report = std::move(ex.report);
   } catch (const Cancelled& e) {

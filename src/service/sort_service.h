@@ -137,10 +137,6 @@ struct ServiceConfig {
 
   CostModel cost{};
   u64 seed = 1;
-
-  /// Optional pool for internal sorting, shared across jobs (ThreadPool
-  /// is thread-safe). Null keeps each job's CPU work on its worker.
-  ThreadPool* sort_pool = nullptr;
 };
 
 class SortService {
@@ -189,7 +185,6 @@ class SortService {
       AdaptiveOptions o;
       o.mem_records = ex.mem_records;
       o.alpha = ex.alpha;
-      o.pool = ex.pool;
       o.force = ex.plans.choose(in.size(), ex.mem_records,
                                 ex.ctx.rpb<R>(), ex.alpha, est_runs);
       auto res = pdm_sort<R>(ex.ctx, in, o, cmp);

@@ -1,6 +1,7 @@
-// pdm::CpuPool — a budgeted work-span pool for the in-core kernels.
+// pdm::CpuPool — a budgeted work-span pool for the in-core kernels, and
+// the library's only compute pool (I/O concurrency lives in the
+// AsyncIoScheduler's per-disk workers).
 //
-// Unlike ThreadPool (a plain task queue sized once at construction),
 // CpuPool is built around a *budget*: the number of threads a parallel
 // region may occupy, caller included. The budget is a thread-safe knob an
 // external arbiter (the sort service's CPU-budget arbiter) can raise or

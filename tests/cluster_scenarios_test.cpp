@@ -126,11 +126,27 @@ void expect_two_level_invariant(Cluster& cluster,
     shard_sum.write_ops += st.per_shard[s].io.write_ops;
     shard_sum.blocks_read += st.per_shard[s].io.blocks_read;
     shard_sum.blocks_written += st.per_shard[s].io.blocks_written;
+    shard_sum.read_calls += st.per_shard[s].io.read_calls;
+    shard_sum.write_calls += st.per_shard[s].io.write_calls;
+    const IoStats& io = st.per_shard[s].io;
+    shard_sum.disk_read_calls.insert(shard_sum.disk_read_calls.end(),
+                                     io.disk_read_calls.begin(),
+                                     io.disk_read_calls.end());
+    shard_sum.disk_write_calls.insert(shard_sum.disk_write_calls.end(),
+                                      io.disk_write_calls.begin(),
+                                      io.disk_write_calls.end());
   }
   EXPECT_EQ(shard_sum.read_ops, st.io.read_ops);
   EXPECT_EQ(shard_sum.write_ops, st.io.write_ops);
   EXPECT_EQ(shard_sum.blocks_read, st.io.blocks_read);
   EXPECT_EQ(shard_sum.blocks_written, st.io.blocks_written);
+  // Backend call counts roll up the same way: summed totals, per-disk
+  // vectors concatenated in shard order.
+  EXPECT_GT(shard_sum.read_calls, 0u);
+  EXPECT_EQ(shard_sum.read_calls, st.io.read_calls);
+  EXPECT_EQ(shard_sum.write_calls, st.io.write_calls);
+  EXPECT_EQ(shard_sum.disk_read_calls, st.io.disk_read_calls);
+  EXPECT_EQ(shard_sum.disk_write_calls, st.io.disk_write_calls);
 }
 
 // ---------------------------------------------------------------------
@@ -367,7 +383,12 @@ TEST(ClusterScenarios, DrainShardMigratesQueuedJobsUnderLoad)
     EXPECT_EQ(info.state, JobState::kDone);
   });
   // Retire shard 1 mid-backlog: queued jobs migrate, the running one
-  // finishes in place, the shard's records move to cluster storage.
+  // finishes in place, the shard's records move to cluster storage. Wait
+  // for shard 1 to start its first job, so one has run there by the time
+  // it retires (the drain only migrates jobs still queued).
+  while (cluster.info(ids[0]).state == JobState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   cluster.drain_shard(1);
   EXPECT_FALSE(cluster.shard_active(1));
   EXPECT_EQ(cluster.active_shards().size(), 3u);

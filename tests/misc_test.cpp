@@ -1,5 +1,4 @@
-// Edge cases, error paths, and the thread-pool-accelerated internal-sort
-// paths through the sorters.
+// Edge cases and error paths.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -127,60 +126,6 @@ TEST(UnshuffleSinkExtra, PartialCloseFlushesTails) {
   }
   EXPECT_EQ(parts[0].read_all(), (std::vector<u64>{0, 2, 4, 6, 8}));
   EXPECT_EQ(parts[1].read_all(), (std::vector<u64>{1, 3, 5, 7, 9}));
-}
-
-TEST(ParallelSortPath, MeshWithPoolMatchesSerial) {
-  const auto g = Geometry::square(1024);
-  Rng rng(1);
-  auto data = make_keys(static_cast<usize>(1024 * 32), Dist::kUniform, rng);
-  std::vector<u64> serial_out, parallel_out;
-  {
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassMeshOptions opt;
-    opt.mem_records = 1024;
-    serial_out = three_pass_mesh_sort<u64>(*ctx, in, opt).output.read_all();
-  }
-  {
-    ThreadPool pool(4);
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassMeshOptions opt;
-    opt.mem_records = 1024;
-    opt.pool = &pool;
-    parallel_out = three_pass_mesh_sort<u64>(*ctx, in, opt).output.read_all();
-  }
-  EXPECT_EQ(serial_out, parallel_out);
-}
-
-TEST(ParallelSortPath, LmmWithPoolSameScheduleAndOutput) {
-  // The pool only accelerates in-memory sorting; the I/O schedule (and
-  // hence obliviousness) must be identical.
-  const auto g = Geometry::square(1024);
-  Rng rng(2);
-  auto data = make_keys(static_cast<usize>(1024 * 16), Dist::kUniform, rng);
-  u64 h_serial, h_parallel;
-  std::vector<u64> out_serial, out_parallel;
-  {
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassLmmOptions opt;
-    opt.mem_records = 1024;
-    out_serial = three_pass_lmm_sort<u64>(*ctx, in, opt).output.read_all();
-    h_serial = ctx->stats().schedule_hash;
-  }
-  {
-    ThreadPool pool(4);
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassLmmOptions opt;
-    opt.mem_records = 1024;
-    opt.pool = &pool;
-    out_parallel = three_pass_lmm_sort<u64>(*ctx, in, opt).output.read_all();
-    h_parallel = ctx->stats().schedule_hash;
-  }
-  EXPECT_EQ(out_serial, out_parallel);
-  EXPECT_EQ(h_serial, h_parallel);
 }
 
 TEST(TableExtra, FmtCountBoundaries) {

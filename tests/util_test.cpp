@@ -7,7 +7,6 @@
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace pdm {
 namespace {
@@ -150,35 +149,6 @@ TEST(Generators, RotatedIsPermutation) {
   std::set<u64> s(v.begin(), v.end());
   EXPECT_EQ(s.size(), 100u);
   EXPECT_EQ(v[0], 37u);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](usize lo, usize hi) {
-    for (usize i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [](usize lo, usize) {
-                          if (lo == 0) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
 }
 
 TEST(Table, RendersMarkdown) {
