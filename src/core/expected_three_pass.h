@@ -75,11 +75,13 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
   ReportBuilder rb(ctx, "ExpectedThreePass", n, mem, rpb);
   bool any_fallback = false;
 
-  // Pass 1: M-record runs over the whole input.
+  // Pass 1: M-record runs over the whole input, in the merge-run layout
+  // of the per-segment cleanups.
+  const u64 runs_per_seg = seg_len / mem;
   RunFormationOptions fopt;
   fopt.run_len = mem;
+  fopt.layout = MergeRunLayout::for_cleanup(mem, runs_per_seg, rpb);
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
-  const u64 runs_per_seg = seg_len / mem;
 
   // Pass 2 (expected): per segment, shuffle-clean into one sorted run.
   std::vector<StripedRun<R>> seg_sorted;

@@ -62,9 +62,11 @@ SortResult<R> expected_two_pass_sort(PdmContext& ctx,
   if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "ExpectedTwoPass", n, mem, rpb);
 
-  // Pass 1.
+  // Pass 1, in the merge-run layout of the pass-2 cleanup: each chunk's
+  // read of a run is one extent on one disk (see striped_run.h).
   RunFormationOptions fopt;
   fopt.run_len = run_len;
+  fopt.layout = MergeRunLayout::for_cleanup(mem, l, rpb);
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
 
   // Pass 2: shuffle + window cleanup with on-line verification.

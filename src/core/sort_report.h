@@ -44,8 +44,10 @@ class ReportBuilder {
     report_.mem_records = mem_records;
     report_.rpb = rpb;
     report_.disks = ctx.D();
+    // Write-behind slabs left over from earlier writes (input staging,
+    // a previous sort) are not this sort's working set.
+    ctx.write_behind().drain_and_trim();
     ctx.budget().reset_peak();
-    budget_floor_ = ctx.budget().peak();
     trace_start_ns_ = trace::TraceLog::now_ns();
     // Every sorter passes through here once per sort, so this is the one
     // chokepoint that tells the flight ring (and hence introspection's
@@ -70,7 +72,6 @@ class ReportBuilder {
     report_.peak_memory_bytes = ctx_->budget().peak();
     report_.wall_seconds = timer_.seconds();
     report_.sim_seconds = d.sim_time_s;
-    (void)budget_floor_;
     // Whole-sort span named after the algorithm; child phase spans (run
     // formation, merge passes, cleanup) nest under it in the trace viewer.
     trace::TraceLog::instance().complete_dyn(
@@ -86,7 +87,6 @@ class ReportBuilder {
   IoStats before_;
   SortReport report_;
   Timer timer_;
-  usize budget_floor_ = 0;
   u64 trace_start_ns_ = 0;
 };
 

@@ -21,7 +21,12 @@ AsyncIoScheduler::AsyncIoScheduler(IoScheduler& sync)
       queues_(sync.backend().num_disks()),
       read_ticket_ns_(metrics::Registry::global().histogram("io.read_ticket_ns")),
       write_ticket_ns_(
-          metrics::Registry::global().histogram("io.write_ticket_ns")) {}
+          metrics::Registry::global().histogram("io.write_ticket_ns")) {
+  queue_names_.reserve(queues_.size());
+  for (usize d = 0; d < queues_.size(); ++d) {
+    queue_names_.push_back("disk" + std::to_string(d) + ".queue");
+  }
+}
 
 AsyncIoScheduler::~AsyncIoScheduler() {
   // stop_workers lets the workers finish every queued job before joining,
@@ -130,15 +135,24 @@ IoTicket AsyncIoScheduler::submit(std::span<const Req> reqs) {
   pt.job = jobtrace::current();
   pt.parent = jobtrace::current_parent();
   pending_[ticket] = pt;
-  if (trace::TraceLog::instance().enabled()) {
-    PDM_TRACE_COUNTER("io", "tickets_in_flight", pending_.size());
-    for (u32 d : touched) {
-      trace::TraceLog::instance().counter_dyn(
-          "io", "disk" + std::to_string(d) + ".queue", queues_[d].jobs.size());
-    }
+  // Snapshot the counters under the lock; emit them after releasing it, so
+  // the I/O workers never wait on the tracer.
+  const bool tracing = trace::TraceLog::instance().enabled();
+  const usize in_flight = pending_.size();
+  std::vector<usize> depths;
+  if (tracing) {
+    depths.reserve(touched.size());
+    for (u32 d : touched) depths.push_back(queues_[d].jobs.size());
   }
   lk.unlock();
   work_cv_.notify_all();
+  if (tracing) {
+    trace::TraceLog& log = trace::TraceLog::instance();
+    log.counter("io", "tickets_in_flight", in_flight);
+    for (usize i = 0; i < touched.size(); ++i) {
+      log.counter_dyn("io", queue_names_[touched[i]], depths[i]);
+    }
+  }
   return ticket;
 }
 

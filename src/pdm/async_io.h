@@ -35,6 +35,7 @@
 #include <exception>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -144,6 +145,7 @@ class AsyncIoScheduler {
   // thread while raise_depth() widens the bound from a service thread.
   std::atomic<usize> depth_{0};
   std::vector<DiskQueue> queues_;  // one per disk
+  std::vector<std::string> queue_names_;  // per-disk trace counter names
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;

@@ -121,6 +121,17 @@ class WriteBehindRing {
     }
   }
 
+  /// drain(), then frees every slab and returns it to the budget. A slab
+  /// keeps the size of its last batch, so without this a finished bulk
+  /// write (say, staging a whole input) stays charged to the budget.
+  void drain_and_trim() {
+    drain();
+    for (auto& s : slots_) {
+      if (budget_ != nullptr) budget_->release(s.buf.size());
+      s.buf = {};
+    }
+  }
+
  private:
   struct Slot {
     std::vector<std::byte> buf;

@@ -1,21 +1,39 @@
-// StripedRun: a logical sequence of records striped block-round-robin over
-// the disks, the standard PDM layout (Rajasekaran [23]). Block k of a run
-// that starts at disk s lives on disk (s + k) mod D, so any D consecutive
-// blocks of a run — and any batch of single blocks taken from D runs with
-// staggered start disks — occupy distinct disks and move in one parallel
-// I/O.
+// StripedRun: a logical sequence of records striped over the disks, the
+// standard PDM layout (Rajasekaran [23]) generalised by a stripe unit.
+//
+// With unit 1 (the default) a run that starts at disk s keeps block b on
+// disk (s + b) mod D, so any D consecutive blocks of a run — and any batch
+// of single blocks taken from D runs with staggered start disks — occupy
+// distinct disks and move in one parallel I/O.
+//
+// With unit u > 1 (set_stripe_unit) the run is striped u blocks at a time:
+// block b lives on disk (s + floor(b / u)) mod D. This is the merge-run
+// layout: a shuffle-cleanup that reads u blocks of the run per chunk then
+// finds that piece on one disk as one contiguous extent — one seek plus
+// u - 1 streamed blocks, instead of about min(u, D) seeks. Two exceptions
+// keep the per-disk block load of every batch, hence the paper's op count,
+// identical to unit 1:
+//   - only the first floor(nb / (u*D)) * u*D blocks of an nb-block run
+//     (the unit span) use the unit; the trailing partial cycle stays
+//     block-round-robin, block b on disk (s + b) mod D;
+//   - callers give the unit only to the first D*floor(l/D) runs of a
+//     cleanup group of l runs (see MergeRunLayout in run_formation.h), so
+//     the D staggered start disks of each full group still cover every
+//     disk once per chunk; the other l mod D runs keep unit 1.
+// A batch that covers whole runs loads each disk exactly as with unit 1.
 //
 // Physically, each disk's share of the stripe is carved from extents
 // (ctx.extent_blocks() contiguous blocks at a time, inside the context's
-// allocator region), so logical blocks k, k+D, k+2D, ... of a run sit at
+// allocator region), so the blocks a run keeps on one disk sit at
 // consecutive disk addresses: a bulk read or write of the run coalesces
-// into one extent-sized syscall per disk (see IoScheduler). finish() —
-// and, for runs abandoned by a cancelled or failed pass, the destructor
-// — returns the unconsumed extent tails to the allocator's free list,
-// so tail fragmentation is transient. Runs must not outlive their
-// context (they never did; the destructor now relies on it). With ctx.extent_blocks() <= 1 the run
-// falls back to legacy single-block bump allocation in the shared default
-// region (the block-interleaved baseline).
+// into one extent-sized syscall per disk (see IoScheduler). Inside the
+// unit span every extent is a whole number of units, so a unit never
+// straddles two extents. finish() — and, for runs abandoned by a cancelled
+// or failed pass, the destructor — returns the unconsumed extent tails to
+// the allocator's free list, so tail fragmentation is transient. Runs must
+// not outlive their context. With ctx.extent_blocks() <= 1 the run falls
+// back to single-block bump allocation in the shared default region (the
+// block-interleaved baseline).
 #pragma once
 
 #include <algorithm>
@@ -54,6 +72,8 @@ class StripedRun {
         tail_(std::move(o.tail_)),
         size_(o.size_),
         rpb_(o.rpb_),
+        unit_(o.unit_),
+        unit_span_(o.unit_span_),
         start_disk_(o.start_disk_),
         finished_(o.finished_) {
     o.extents_.clear();  // moved-from source owns no tails
@@ -69,6 +89,8 @@ class StripedRun {
       tail_ = std::move(o.tail_);
       size_ = o.size_;
       rpb_ = o.rpb_;
+      unit_ = o.unit_;
+      unit_span_ = o.unit_span_;
       start_disk_ = o.start_disk_;
       finished_ = o.finished_;
       o.extents_.clear();
@@ -87,6 +109,8 @@ class StripedRun {
         tail_(o.tail_),
         size_(o.size_),
         rpb_(o.rpb_),
+        unit_(o.unit_),
+        unit_span_(o.unit_span_),
         start_disk_(o.start_disk_),
         finished_(o.finished_) {
     PDM_ASSERT(!o.owns_tails(), "copy of a StripedRun with live extent tails");
@@ -104,6 +128,8 @@ class StripedRun {
       tail_ = o.tail_;
       size_ = o.size_;
       rpb_ = o.rpb_;
+      unit_ = o.unit_;
+      unit_span_ = o.unit_span_;
       start_disk_ = o.start_disk_;
       finished_ = o.finished_;
     }
@@ -116,6 +142,19 @@ class StripedRun {
   usize rpb() const noexcept { return rpb_; }
   u64 num_blocks() const noexcept { return blocks_.size(); }
   u32 start_disk() const noexcept { return start_disk_; }
+  u64 stripe_unit() const noexcept { return unit_; }
+  /// Blocks [0, unit_span_blocks()) are striped in units of stripe_unit().
+  u64 unit_span_blocks() const noexcept { return unit_span_; }
+
+  /// Stripes a run that will hold `run_blocks` blocks in units of `unit`
+  /// blocks (see the header): the unit span is run_blocks rounded down to
+  /// a multiple of unit * D. Must precede the first allocated block.
+  void set_stripe_unit(u64 unit, u64 run_blocks) {
+    PDM_CHECK(unit >= 1, "stripe unit must be positive");
+    PDM_CHECK(blocks_.empty(), "set_stripe_unit after the first block");
+    unit_ = unit;
+    unit_span_ = unit > 1 ? round_down(run_blocks, unit * ctx_->D()) : 0;
+  }
 
   BlockRef block_ref(u64 i) const {
     PDM_CHECK(i < blocks_.size(), "block index out of range");
@@ -257,8 +296,10 @@ class StripedRun {
   }
 
   BlockRef alloc_next_block() {
-    const u32 disk =
-        static_cast<u32>((start_disk_ + blocks_.size()) % ctx_->D());
+    const u64 b = blocks_.size();
+    const bool in_unit = b < unit_span_;
+    const u64 stripe = in_unit ? b / unit_ : b;
+    const u32 disk = static_cast<u32>((start_disk_ + stripe) % ctx_->D());
     const usize eb = ctx_->extent_blocks();
     if (eb <= 1) {
       // Legacy path: single blocks, region selection via the context's
@@ -277,7 +318,10 @@ class StripedRun {
       // Adaptive sizing: short runs (an unshuffle part may own a single
       // block per disk) waste at most a few tail blocks, long runs ramp
       // up to the context's full extent size within a few refills.
-      const u64 want = std::min<u64>(eb, grow_[disk]);
+      // Inside the unit span extents come in whole units, so every unit
+      // is one physically contiguous span on its disk.
+      u64 want = std::min<u64>(eb, grow_[disk]);
+      if (in_unit) want = round_up(want, unit_);
       grow_[disk] = static_cast<u32>(std::min<u64>(eb, u64{grow_[disk]} * 2));
       cur = ctx_->alloc().alloc_extent(disk, want, ctx_->alloc_region());
     }
@@ -313,6 +357,8 @@ class StripedRun {
   std::vector<R> tail_;
   u64 size_ = 0;
   usize rpb_ = 0;
+  u64 unit_ = 1;       // stripe unit, in blocks
+  u64 unit_span_ = 0;  // blocks striped by unit_ (a multiple of unit_ * D)
   u32 start_disk_ = 0;
   bool finished_ = false;
 };

@@ -43,12 +43,37 @@ inline const char* run_formation_mode_name(RunFormationMode m) {
   return "?";
 }
 
+/// Merge-run layout of flat runs that shuffle-cleanups will read: runs
+/// are taken in consecutive groups of `group_runs` (one ShuffleChunkSource
+/// per group), and each chunk reads `unit` blocks of every run of the
+/// group. Run i is then striped in units of `unit` blocks (see
+/// striped_run.h) when it is among the first D*floor(group_runs/D) runs of
+/// its group; the other group_runs mod D runs stay block-round-robin, so
+/// every chunk's per-disk load, and so the op count, is unchanged.
+/// The default (unit 1) is the plain block-round-robin layout.
+struct MergeRunLayout {
+  u64 unit = 1;
+  u64 group_runs = 0;
+
+  /// The layout a cleanup of `group_runs` runs needs when it reads chunks
+  /// of round_down(M, group_runs * B) records: k = floor(M / (l * B)).
+  static MergeRunLayout for_cleanup(u64 mem, u64 group_runs, u64 rpb) {
+    return MergeRunLayout{mem / (group_runs * rpb), group_runs};
+  }
+
+  u64 unit_of(u64 run, u32 disks) const {
+    if (unit <= 1) return 1;
+    return run % group_runs < group_runs / disks * disks ? unit : 1;
+  }
+};
+
 struct RunFormationOptions {
   u64 run_len = 0;          // records per run (<= M, multiple of B)
   u32 unshuffle_parts = 1;  // m; run_len must be a multiple of m*B when m>1
   u64 first_record = 0;     // block-aligned start of the input range
   u64 num_records = 0;      // 0 = to the end of the input
   RunFormationMode mode = RunFormationMode::kFixed;  // adaptive modes: m == 1
+  MergeRunLayout layout;    // flat kFixed runs only
 };
 
 /// parts[i][j] = part j of sorted run i (stride-m decimation, itself
@@ -90,6 +115,10 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
                                      : opt.num_records;
   PDM_CHECK(opt.first_record + n <= input.size(), "range end out of bounds");
   PDM_CHECK(n > 0, "empty input");
+  PDM_CHECK(opt.layout.unit == 1 ||
+                (m == 1 && opt.mode == RunFormationMode::kFixed &&
+                 opt.layout.group_runs > 0),
+            "a merge-run layout needs flat kFixed runs and its group size");
   if (opt.mode != RunFormationMode::kFixed) {
     // Order-adaptive modes emit flat variable-length runs; the unshuffled
     // (LMM) layout needs uniform run lengths, so it stays on kFixed.
@@ -104,7 +133,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
     return wrapped;
   }
   const u64 num_runs = ceil_div(n, run_len);
-  const u64 blocks_per_run = run_len / rpb;
   trace::TraceSpan trace_span("pass", "run_formation", "records", n);
 
   TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(run_len));
@@ -162,6 +190,8 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
       // evenly even when the run count does not divide M/B.
       const u32 stride = flat_run_start_stride(ctx.D());
       runs_i.emplace_back(ctx, static_cast<u32>((i * stride) % ctx.D()));
+      runs_i[0].set_stripe_unit(opt.layout.unit_of(i, ctx.D()),
+                                ceil_div(nrec, rpb));
       runs_i[0].append(std::span<const R>(buf, static_cast<usize>(nrec)));
       runs_i[0].finish();
       cur ^= 1;
@@ -222,7 +252,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
     }
     ctx.write_batch(reqs);
     for (auto& part : runs_i) part.finish();
-    (void)blocks_per_run;
     cur ^= 1;
   }
   return out;
