@@ -93,10 +93,8 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
     trace::TraceSpan trace_span("pass", "radix_leaf_sort", "records",
                                 group_n);
     std::span<R> recs(st.leaf_buf->data(), group_n);
-    auto cmp = [](const R& a, const R& b) {
-      return record_key(a) < record_key(b);
-    };
-    internal_sort(recs, cmp, st.ctx->cpu_pool(), st.scratch_buf->span());
+    internal_sort(recs, KeyLess{}, st.ctx->cpu_pool(),
+                  st.scratch_buf->span());
     st.out->append(std::span<const R>(recs.data(), recs.size()));
     group_n = 0;
   };
@@ -156,9 +154,6 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
   SortResult<R> result;
   result.output = StripedRun<R>(ctx, 0);
 
-  auto key_cmp = [](const R& a, const R& b) {
-    return record_key(a) < record_key(b);
-  };
   if (input.size() <= mem) {
     // Fits in memory: one read + one write pass.
     TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(mem));
@@ -169,7 +164,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
       n += reader.read_up_to(buf.data() + n, buf.size() - n);
     }
     std::span<R> recs(buf.data(), n);
-    internal_sort(recs, key_cmp, ctx.cpu_pool(), scratch.span());
+    internal_sort(recs, KeyLess{}, ctx.cpu_pool(), scratch.span());
     result.output.append(std::span<const R>(recs.data(), n));
     result.output.finish();
     result.report = rb.finish();

@@ -1,10 +1,23 @@
-// Tournament (loser) tree for k-way merging: O(log k) comparisons per
-// extracted record with a single comparison path per replacement. Used by
-// the LMM merge pass and the forecasting multiway merge baseline.
+// Tournament (loser) trees: O(log k) comparisons per extracted record
+// with a single comparison path per replacement.
+//
+//  - LoserTree<R, Cmp>: the generic tree. Nodes hold source indices and
+//    every comparison reads both records through Cmp. Used by the LMM
+//    merge pass, the forecasting multiway merge baseline, and replacement
+//    selection over records that are not key-identical.
+//  - KeyLoserTree<R>: nodes carry their entry's ordering key inline, a
+//    (tag, key, source) triple compared lexicographically, so replaying a
+//    path reads one contiguous node per level and never touches a record
+//    or a liveness bitmap. Replacement selection uses it for key-identical
+//    records (internal/radix_sort_inplace.h), with the run number as the
+//    tag and the key complemented on descending runs.
+//
+// Both break ties toward the lower source index.
 #pragma once
 
 #include <bit>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/common.h"
@@ -98,6 +111,90 @@ class LoserTree {
   std::vector<R> val_;
   std::vector<bool> alive_;
   usize winner_ = kNone;
+};
+
+template <class R>
+class KeyLoserTree {
+ public:
+  explicit KeyLoserTree(usize k)
+      : k_(k), cap_(std::bit_ceil(std::max<usize>(k, 2))),
+        tree_(2 * cap_, Node{kDead, kDead, 0}), val_(k) {
+    for (usize i = 0; i < cap_; ++i) tree_[cap_ + i].src = i;
+  }
+
+  /// Sets the initial entry of source i: ordered by (tag, key), then by
+  /// i. Tags must be below ~0. Call for every live source, then build().
+  void set_initial(usize i, u64 tag, u64 key, const R& v) {
+    PDM_CHECK(i < k_, "source out of range");
+    tree_[cap_ + i] = Node{tag, key, i};
+    val_[i] = v;
+  }
+
+  /// Plays the initial tournament.
+  void build() { win_ = play(1); }
+
+  bool empty() const { return win_.tag == kDead; }
+  usize min_source() const { return win_.src; }
+  u64 min_tag() const { return win_.tag; }
+  const R& min_value() const { return val_[win_.src]; }
+
+  /// Replaces the minimum with the next entry from the same source.
+  void replace_min(u64 tag, u64 key, const R& v) {
+    val_[win_.src] = v;
+    win_.tag = tag;
+    win_.key = key;
+    replay();
+  }
+
+  /// Marks the minimum's source as exhausted.
+  void exhaust_min() {
+    win_.tag = kDead;
+    win_.key = kDead;
+    replay();
+  }
+
+ private:
+  // An exhausted source (and every padding leaf past k) holds the
+  // all-ones tag and key, so it loses to every live entry.
+  static constexpr u64 kDead = ~u64{0};
+
+  struct Node {
+    u64 tag;
+    u64 key;
+    usize src;
+  };
+
+  static bool less(const Node& a, const Node& b) {
+    if (a.tag != b.tag) return a.tag < b.tag;
+    if (a.key != b.key) return a.key < b.key;
+    return a.src < b.src;
+  }
+
+  Node play(usize node) {
+    if (node >= cap_) return tree_[node];
+    const Node l = play(2 * node);
+    const Node r = play(2 * node + 1);
+    const bool right_wins = less(r, l);
+    tree_[node] = right_wins ? l : r;  // store the loser
+    return right_wins ? r : l;
+  }
+
+  // Walks the winner's leaf-to-root path; at each node the smaller of the
+  // carried entry and the stored loser moves up, the other stays.
+  void replay() {
+    Node cur = win_;
+    for (usize node = (cur.src + cap_) / 2; node >= 1; node /= 2) {
+      if (less(tree_[node], cur)) std::swap(tree_[node], cur);
+    }
+    win_ = cur;
+  }
+
+  usize k_;
+  usize cap_;
+  std::vector<Node> tree_;  // [1, cap_): the loser at each node; then the
+                            // leaves, read only by build()
+  std::vector<R> val_;      // val_[i]: the record of source i's entry
+  Node win_{kDead, kDead, 0};
 };
 
 }  // namespace pdm

@@ -7,18 +7,27 @@
 // input with the same memory-load read batches as the fixed-run path, so
 // the read-side I/O schedule is identical — only run boundaries move.
 //
-// Memory: the M-record tournament heap plus one staging block and the
-// double-buffered input loads are charged to the context budget; the loser
-// tree's internal arrays (~2 * bit_ceil(M) entries of {tag, record}) are
-// not, matching how the merge passes already account for their trees.
+// The tournament is a KeyLoserTree for key-identical records (its nodes
+// carry (run, key, source) inline; internal/radix_sort_inplace.h says
+// which records qualify) and the generic LoserTree over (run, record)
+// entries for everything else. Both order entries the same way and
+// break ties toward the lower source index, so run boundaries and the
+// emitted bytes do not depend on which tree selects them.
+//
+// Memory: one staging block and the heap-sized input loads (two with the
+// async pipeline on) are charged to the context budget; the tournament
+// itself (~2 * bit_ceil(M) nodes plus M records) is not, matching how the
+// merge passes already account for their trees.
 #pragma once
 
 #include <algorithm>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "internal/loser_tree.h"
+#include "internal/radix_sort_inplace.h"
 #include "pdm/memory_budget.h"
 #include "pdm/prefetch_buffer.h"
 #include "pdm/striped_run.h"
@@ -28,26 +37,77 @@
 namespace pdm {
 namespace detail {
 
-/// Tournament entry: records compare first by run tag — an earlier run
-/// drains completely before any record of a later run surfaces — then by
-/// key, ascending for even tags and descending for odd tags when the
-/// up/down policy is active.
+/// Tournament over (run, record) entries: records compare first by run
+/// tag — an earlier run drains completely before any record of a later
+/// run surfaces — then by Cmp, ascending for even tags and descending for
+/// odd tags when the up/down policy is active.
+template <class R, class Cmp>
+class RsGenericTree {
+ public:
+  RsGenericTree(usize k, Cmp cmp, bool updown)
+      : tree_(k, Less{cmp, updown}) {}
+
+  void set_initial(usize i, u64 run, const R& r) {
+    tree_.set_initial(i, Item{run, r});
+  }
+  void build() { tree_.build(); }
+  bool empty() const { return tree_.empty(); }
+  u64 min_run() const { return tree_.min_value().run; }
+  const R& min_value() const { return tree_.min_value().rec; }
+  void replace_min(u64 run, const R& r) { tree_.replace_min(Item{run, r}); }
+  void exhaust_min() { tree_.exhaust_min(); }
+
+ private:
+  struct Item {
+    u64 run = 0;
+    R rec{};
+  };
+  struct Less {
+    Cmp cmp;
+    bool updown;
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.run != b.run) return a.run < b.run;
+      if (updown && (a.run & 1) != 0) return cmp(b.rec, a.rec);
+      return cmp(a.rec, b.rec);
+    }
+  };
+  LoserTree<Item, Less> tree_;
+};
+
+/// The same order on a KeyLoserTree: tag = run, key = the record's key,
+/// complemented on descending runs.
 template <class R>
-struct RsItem {
-  u64 run = 0;
-  R rec{};
+class RsKeyTree {
+ public:
+  template <class Cmp>
+  RsKeyTree(usize k, Cmp /*orders by key*/, bool updown)
+      : tree_(k), updown_(updown) {}
+
+  void set_initial(usize i, u64 run, const R& r) {
+    tree_.set_initial(i, run, key_of(run, r), r);
+  }
+  void build() { tree_.build(); }
+  bool empty() const { return tree_.empty(); }
+  u64 min_run() const { return tree_.min_tag(); }
+  const R& min_value() const { return tree_.min_value(); }
+  void replace_min(u64 run, const R& r) {
+    tree_.replace_min(run, key_of(run, r), r);
+  }
+  void exhaust_min() { tree_.exhaust_min(); }
+
+ private:
+  u64 key_of(u64 run, const R& r) const {
+    const u64 k = record_key(r);
+    return updown_ && (run & 1) != 0 ? ~k : k;
+  }
+
+  KeyLoserTree<R> tree_;
+  bool updown_;
 };
 
 template <class R, class Cmp>
-struct RsLess {
-  Cmp cmp;
-  bool updown;
-  bool operator()(const RsItem<R>& a, const RsItem<R>& b) const {
-    if (a.run != b.run) return a.run < b.run;
-    if (updown && (a.run & 1) != 0) return cmp(b.rec, a.rec);
-    return cmp(a.rec, b.rec);
-  }
-};
+using RsTree = std::conditional_t<KeyIdentical<R, Cmp>, RsKeyTree<R>,
+                                  RsGenericTree<R, Cmp>>;
 
 }  // namespace detail
 
@@ -79,49 +139,33 @@ std::vector<StripedRun<R>> replacement_select_runs(
   PDM_CHECK(n > 0, "empty input");
   trace::TraceSpan trace_span("pass", "run_formation_adaptive", "records", n);
 
-  // Input streaming: heap-sized batched reads, double buffered through the
-  // async pipeline — the same load geometry as the fixed path, so the
-  // read-side op and block counts match it exactly.
+  // Input streaming: heap-sized batched reads through a prefetch ring
+  // (two slabs with the async pipeline on, one off) — the same load
+  // geometry as the fixed path, so the read-side op and block counts
+  // match it exactly.
   const u64 load_len = heap_records;
   const u64 num_loads = ceil_div(n, load_len);
-  TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(load_len));
-  const bool async = ctx.aio().enabled();
-  TrackedBuffer<R> load2;
-  if (async) load2 = TrackedBuffer<R>(ctx.budget(), load.size());
+  ReadAheadRing<R> ring(ctx.aio(), ctx.budget(), static_cast<usize>(load_len),
+                        ctx.aio().enabled() ? 2 : 1);
   PipelineDrainGuard drain_guard(ctx.aio());
 
-  R* bufs[2] = {load.data(), async ? load2.data() : nullptr};
-  IoTicket tickets[2] = {0, 0};
-  auto blocks_of = [&](u64 li) {
-    const u64 rec0 = first_record + li * load_len;
-    const u64 nrec = std::min<u64>(load_len, first_record + n - rec0);
-    return std::pair<u64, u64>{rec0 / rpb, ceil_div(nrec, rpb)};
-  };
-  auto issue = [&](u64 li, usize slot) {
-    const auto [b0, nblocks] = blocks_of(li);
-    tickets[slot] = input.read_blocks_async(b0, nblocks, bufs[slot]);
-  };
-
-  usize slot = 0;
+  auto records_of = [&](u64 i) { return std::min(load_len, n - i * load_len); };
+  u64 issued = 0;     // loads submitted to the ring
   u64 next_load = 0;  // next load index to consume
   u64 valid = 0;      // records in the current load
   usize pos = 0;      // cursor within the current load
-  R* buf = nullptr;
-  if (async) issue(0, 0);
+  const R* buf = nullptr;
   auto next_record = [&](R& dst) -> bool {
     if (pos >= valid) {
       if (next_load >= num_loads) return false;
-      if (async) {
-        ctx.aio().wait(tickets[slot]);
-        buf = bufs[slot];
-        if (next_load + 1 < num_loads) issue(next_load + 1, slot ^ 1);
-        slot ^= 1;
-      } else {
-        const auto [b0, nblocks] = blocks_of(next_load);
-        input.read_blocks(b0, nblocks, load.data());
-        buf = load.data();
+      if (next_load > 0) ring.pop();
+      for (; issued < num_loads && !ring.full(); ++issued) {
+        ring.push(input.read_reqs((first_record + issued * load_len) / rpb,
+                                  ceil_div(records_of(issued), rpb),
+                                  ring.stage()));
       }
-      valid = std::min<u64>(load_len, n - next_load * load_len);
+      buf = ring.front().data;
+      valid = records_of(next_load);
       pos = 0;
       ++next_load;
     }
@@ -133,16 +177,14 @@ std::vector<StripedRun<R>> replacement_select_runs(
   // which is what guarantees every non-final run's length is >= M — when
   // run r opens, all M tree slots hold tag-r records, and each of them
   // must be emitted into run r before any tag-(r+1) record surfaces.
-  using Item = detail::RsItem<R>;
-  using Less = detail::RsLess<R, Cmp>;
   const usize k = static_cast<usize>(std::min<u64>(heap_records, n));
-  LoserTree<Item, Less> tree(k, Less{cmp, updown});
+  detail::RsTree<R, Cmp> tree(k, cmp, updown);
   {
     R r{};
     for (usize i = 0; i < k; ++i) {
       const bool ok = next_record(r);
       PDM_CHECK(ok, "input exhausted during heap fill");
-      tree.set_initial(i, Item{0, r});
+      tree.set_initial(i, 0, r);
     }
   }
   tree.build();
@@ -191,24 +233,24 @@ std::vector<StripedRun<R>> replacement_select_runs(
   };
 
   while (!tree.empty()) {
-    const Item top = tree.min_value();  // copy: replace_min overwrites it
-    if (top.run != cur_run) {
+    const u64 top_run = tree.min_run();
+    const R top = tree.min_value();  // copy: replace_min overwrites it
+    if (top_run != cur_run) {
       close_run();
-      open_run(top.run);
+      open_run(top_run);
     }
     R incoming{};
     if (next_record(incoming)) {
       // Classic replacement selection: the incoming record joins the
-      // current run iff emitting it after `top.rec` keeps the run's order
+      // current run iff emitting it after `top` keeps the run's order
       // (>= for ascending runs, <= for descending); otherwise it waits in
       // the heap under the next run's tag.
-      const bool eligible =
-          down ? !cmp(top.rec, incoming) : !cmp(incoming, top.rec);
-      tree.replace_min(Item{eligible ? top.run : top.run + 1, incoming});
+      const bool eligible = down ? !cmp(top, incoming) : !cmp(incoming, top);
+      tree.replace_min(eligible ? top_run : top_run + 1, incoming);
     } else {
       tree.exhaust_min();
     }
-    block_buf.data()[fill++] = top.rec;
+    block_buf.data()[fill++] = top;
     if (fill == rpb) {
       ctx.check_cancelled();
       flush_block();

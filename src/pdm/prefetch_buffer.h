@@ -185,8 +185,9 @@ class ReadAheadRing {
   }
 
   /// Submits `reqs` (which must read into stage()) and marks the slab
-  /// filled; `valid[i]` = records block i of the slab will hold.
-  void push(std::span<const ReadReq> reqs, std::vector<usize> valid) {
+  /// filled; `valid[i]` = records block i of the slab will hold (callers
+  /// that track the fill themselves pass none).
+  void push(std::span<const ReadReq> reqs, std::vector<usize> valid = {}) {
     PDM_CHECK(!full(), "ReadAheadRing overflow");
     Slot& s = slots_[head_];
     s.ticket = aio_->read_async(reqs);

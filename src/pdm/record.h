@@ -2,7 +2,10 @@
 //
 // Sortable records must be trivially copyable (they are moved with memcpy
 // through block buffers). Integer sorting additionally needs a u64 key
-// projection, supplied via KeyTraits (specialize for custom records).
+// projection, supplied via KeyTraits (specialize for custom records). A
+// projection must be order-preserving — a < b exactly when key(a) <
+// key(b) — because the in-core radix kernel (internal/radix_sort_inplace.h)
+// sorts small padding-free records by key in place of operator<.
 //
 // Built-in projections:
 //  - unsigned integrals: identity (zero-extended);
@@ -83,5 +86,13 @@ template <class R>
 constexpr u64 record_key(const R& r) noexcept {
   return KeyTraits<R>::key(r);
 }
+
+/// Orders records by their radix key (the comparator of the integer sorts).
+struct KeyLess {
+  template <class R>
+  constexpr bool operator()(const R& a, const R& b) const noexcept {
+    return record_key(a) < record_key(b);
+  }
+};
 
 }  // namespace pdm

@@ -259,13 +259,19 @@ class StripedRun {
   /// ticket (0 when the pipeline is disabled and the read already
   /// happened). dst must stay alive until the ticket completes.
   IoTicket read_blocks_async(u64 first, u64 count, R* dst) const {
+    return ctx_->aio().read_async(read_reqs(first, count, dst));
+  }
+
+  /// The request batch read_blocks issues, for callers that submit it
+  /// themselves (a ReadAheadRing).
+  std::vector<ReadReq> read_reqs(u64 first, u64 count, R* dst) const {
     PDM_CHECK(first + count <= blocks_.size(), "read_blocks out of range");
     std::vector<ReadReq> reqs;
     reqs.reserve(static_cast<usize>(count));
     for (u64 b = 0; b < count; ++b) {
       reqs.push_back(read_req(first + b, dst + b * rpb_));
     }
-    return ctx_->aio().read_async(reqs);
+    return reqs;
   }
 
   /// Reads the entire run (convenience for tests; counts I/O normally).

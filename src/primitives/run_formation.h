@@ -135,50 +135,34 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
   const u64 num_runs = ceil_div(n, run_len);
   trace::TraceSpan trace_span("pass", "run_formation", "records", n);
 
-  TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(run_len));
-  TrackedBuffer<R> scratch = sort_scratch<R>(ctx, load.size());
+  // Prefetch ring: two slabs with the async pipeline on, so run i+1
+  // streams in while run i is sorted and written (submission order read
+  // i+1, write i, read i+2), and one slab off, which reads each run just
+  // before it is sorted. Identical read batches either way, so IoStats op
+  // counts do not change — only the wall-clock overlap does.
+  const usize load_len = static_cast<usize>(run_len);
+  ReadAheadRing<R> ring(ctx.aio(), ctx.budget(), load_len,
+                        ctx.aio().enabled() ? 2 : 1);
+  TrackedBuffer<R> scratch = sort_scratch<R>(ctx, load_len);
   TrackedBuffer<R> parts_buf;
-  if (m > 1) parts_buf = TrackedBuffer<R>(ctx.budget(), load.size());
-
-  // Double-buffered prefetch: while run i is sorted and written, run i+1
-  // streams in. Identical read batches to the synchronous path, so IoStats
-  // op counts do not change — only the wall-clock overlap does.
-  const bool async = ctx.aio().enabled();
-  TrackedBuffer<R> load2;
-  if (async) load2 = TrackedBuffer<R>(ctx.budget(), load.size());
+  if (m > 1) parts_buf = TrackedBuffer<R>(ctx.budget(), load_len);
   PipelineDrainGuard drain_guard(ctx.aio());  // after the buffers it guards
-
-  R* bufs[2] = {load.data(), async ? load2.data() : nullptr};
-  IoTicket tickets[2] = {0, 0};
-  auto blocks_of = [&](u64 i) {
-    const u64 rec0 = opt.first_record + i * run_len;
-    const u64 nrec = std::min<u64>(run_len, opt.first_record + n - rec0);
-    return std::pair<u64, u64>{rec0 / rpb, ceil_div(nrec, rpb)};
-  };
-  auto issue = [&](u64 i, usize slot) {
-    const auto [b0, nblocks] = blocks_of(i);
-    tickets[slot] = input.read_blocks_async(b0, nblocks, bufs[slot]);
-  };
 
   FormedRuns<R> out;
   out.reserve(static_cast<usize>(num_runs));
 
-  usize cur = 0;
-  if (async) issue(0, 0);
+  auto records_of = [&](u64 i) { return std::min(run_len, n - i * run_len); };
+  u64 issued = 0;
   for (u64 i = 0; i < num_runs; ++i) {
     ctx.check_cancelled();
-    const u64 rec0 = opt.first_record + i * run_len;
-    const u64 nrec = std::min<u64>(run_len, opt.first_record + n - rec0);
-    R* buf;
-    if (async) {
-      ctx.aio().wait(tickets[cur]);
-      buf = bufs[cur];
-      if (i + 1 < num_runs) issue(i + 1, cur ^ 1);
-    } else {
-      const auto [b0, nblocks] = blocks_of(i);
-      input.read_blocks(b0, nblocks, load.data());
-      buf = load.data();
+    if (i > 0) ring.pop();
+    for (; issued < num_runs && !ring.full(); ++issued) {
+      ring.push(input.read_reqs((opt.first_record + issued * run_len) / rpb,
+                                ceil_div(records_of(issued), rpb),
+                                ring.stage()));
     }
+    const u64 nrec = records_of(i);
+    R* buf = ring.front().data;
     internal_sort(std::span<R>(buf, static_cast<usize>(nrec)), cmp,
                   ctx.cpu_pool(), scratch.span());
 
@@ -194,7 +178,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
                                 ceil_div(nrec, rpb));
       runs_i[0].append(std::span<const R>(buf, static_cast<usize>(nrec)));
       runs_i[0].finish();
-      cur ^= 1;
       continue;
     }
     if (nrec < run_len) {
@@ -219,7 +202,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
             parts_buf.data() + j * p_len_max, static_cast<usize>(cnt)));
         runs_i.back().finish();
       }
-      cur ^= 1;
       continue;
     }
     // Gather the m stride-m decimations, then write every part in one
@@ -252,7 +234,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
     }
     ctx.write_batch(reqs);
     for (auto& part : runs_i) part.finish();
-    cur ^= 1;
   }
   return out;
 }
