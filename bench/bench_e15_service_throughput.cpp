@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     // Attach the metrics registry snapshot so the perf JSON carries its
     // counters (queue-wait histograms, tenant rollups, trace drops) next
     // to the timings.
-    json_file_update(json_out, "metrics", metrics_json_section());
+    json_file_merge_metrics(json_out);
     std::cout << "wrote section metrics -> " << json_out << "\n";
   }
   std::cout << "throughput gate (4 workers vs serial): " << speedup_at_4

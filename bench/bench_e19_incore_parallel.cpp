@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   jw.end_obj();
   if (!json_out.empty()) {
     json_file_update(json_out, "e19_incore_parallel", jw.str());
-    json_file_update(json_out, "metrics", metrics_json_section());
+    json_file_merge_metrics(json_out);
     std::cout << "wrote section e19_incore_parallel -> " << json_out << "\n";
   }
   std::cout << "Expected shape: near-linear kernel speedup to the core "

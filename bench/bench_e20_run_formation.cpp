@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   jw.end_obj();
   if (!json_out.empty()) {
     json_file_update(json_out, "e20_run_formation", jw.str());
-    json_file_update(json_out, "metrics", metrics_json_section());
+    json_file_merge_metrics(json_out);
     std::cout << "wrote section e20_run_formation -> " << json_out << "\n";
   }
   std::cout << "Expected shape: the probed planner sorts the near-sorted "

@@ -183,13 +183,13 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Inserts or replaces the top-level entry `key` in the JSON object file
-/// at `path` (created if missing), preserving the other entries. The
-/// parser handles exactly what these helpers emit — a one-level object of
-/// balanced values — so several bench binaries can share one output file
-/// (BENCH_PR2.json) without a JSON dependency.
-inline void json_file_update(const std::string& path, const std::string& key,
-                             const std::string& payload) {
+/// The top-level entries of the JSON object file at `path` (none if it
+/// is missing), each as (key, raw value text). The parser handles exactly
+/// what these helpers emit — a one-level object of balanced values — so
+/// several bench binaries can share one output file (BENCH_PR2.json)
+/// without a JSON dependency.
+inline std::vector<std::pair<std::string, std::string>> json_file_entries(
+    const std::string& path) {
   std::vector<std::pair<std::string, std::string>> entries;
   if (std::ifstream in(path); in) {
     std::string text((std::istreambuf_iterator<char>(in)),
@@ -250,6 +250,14 @@ inline void json_file_update(const std::string& path, const std::string& key,
       i = j;
     }
   }
+  return entries;
+}
+
+/// Inserts or replaces the top-level entry `key` in the JSON object file
+/// at `path` (created if missing), preserving the other entries.
+inline void json_file_update(const std::string& path, const std::string& key,
+                             const std::string& payload) {
+  auto entries = json_file_entries(path);
   bool replaced = false;
   for (auto& [k, v] : entries) {
     if (k == key) {
@@ -298,15 +306,57 @@ inline void observability_finish(const Cli& cli,
   }
 }
 
-/// Metrics registry snapshot as a one-key JSON object (the exposition
-/// text, newline-escaped) — attached to the bench JSON so a perf run
-/// carries its counters next to its timings.
-inline std::string metrics_json_section() {
+/// Merges this process's metrics registry snapshot into the "metrics"
+/// entry of the JSON file at `path` — a one-key object holding the
+/// exposition text, newline-escaped — so a perf run carries its counters
+/// next to its timings. Several benches share one file: each metric line
+/// of this process replaces the line of the same kind and name, and the
+/// other lines stay, so one bench's gauges (say e19's cpu.*) survive the
+/// benches that run after it.
+inline void json_file_merge_metrics(const std::string& path) {
+  std::vector<std::string> lines;
+  for (const auto& [k, v] : json_file_entries(path)) {
+    if (k != "metrics") continue;
+    usize i = v.find("\"registry_text\"");
+    if (i != std::string::npos) i = v.find('"', v.find(':', i));
+    if (i == std::string::npos) continue;
+    std::string line;
+    for (++i; i < v.size() && v[i] != '"'; ++i) {
+      char c = v[i];
+      if (c == '\\' && i + 1 < v.size()) {
+        c = v[++i] == 'n' ? '\n' : v[i];
+      }
+      if (c == '\n') {
+        lines.push_back(line);
+        line.clear();
+      } else {
+        line += c;
+      }
+    }
+    if (!line.empty()) lines.push_back(line);
+  }
+  // A line's identity is its kind and name: its first two words.
+  auto id = [](const std::string& line) {
+    return line.substr(0, line.find(' ', line.find(' ') + 1));
+  };
+  std::istringstream fresh(metrics::Registry::global().text());
+  for (std::string line; std::getline(fresh, line);) {
+    bool replaced = false;
+    for (auto& old : lines) {
+      if (id(old) == id(line)) {
+        old = line;
+        replaced = true;
+      }
+    }
+    if (!replaced) lines.push_back(line);
+  }
+  std::string text;
+  for (const auto& line : lines) text += line + '\n';
   JsonWriter jm;
   jm.begin_obj();
-  jm.key("registry_text").value(metrics::Registry::global().text());
+  jm.key("registry_text").value(text);
   jm.end_obj();
-  return jm.str();
+  json_file_update(path, "metrics", jm.str());
 }
 
 }  // namespace pdm::bench

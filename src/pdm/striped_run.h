@@ -34,6 +34,13 @@
 // not outlive their context. With ctx.extent_blocks() <= 1 the run falls
 // back to single-block bump allocation in the shared default region (the
 // block-interleaved baseline).
+//
+// A layout helper may instead place every block of a run up front
+// (place_blocks): the run then takes those refs in order as it grows and
+// allocates nothing itself. The LMM part grid and merged sequences use
+// this (see LmmPartLayout in run_formation.h), because their blocks are
+// ordered on each disk across many runs at once, which no per-run extent
+// can express.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +76,7 @@ class StripedRun {
         blocks_(std::move(o.blocks_)),
         extents_(std::move(o.extents_)),
         grow_(std::move(o.grow_)),
+        placed_(std::move(o.placed_)),
         tail_(std::move(o.tail_)),
         size_(o.size_),
         rpb_(o.rpb_),
@@ -86,6 +94,7 @@ class StripedRun {
       blocks_ = std::move(o.blocks_);
       extents_ = std::move(o.extents_);
       grow_ = std::move(o.grow_);
+      placed_ = std::move(o.placed_);
       tail_ = std::move(o.tail_);
       size_ = o.size_;
       rpb_ = o.rpb_;
@@ -125,6 +134,7 @@ class StripedRun {
       blocks_ = o.blocks_;
       extents_.clear();
       grow_.clear();
+      placed_.clear();
       tail_ = o.tail_;
       size_ = o.size_;
       rpb_ = o.rpb_;
@@ -154,6 +164,15 @@ class StripedRun {
     PDM_CHECK(blocks_.empty(), "set_stripe_unit after the first block");
     unit_ = unit;
     unit_span_ = unit > 1 ? round_down(run_blocks, unit * ctx_->D()) : 0;
+  }
+
+  /// Places the run's blocks up front: block b of the run will be refs[b].
+  /// The caller has allocated them (the run never frees them) and must
+  /// append exactly refs.size() blocks before finish(). Must precede the
+  /// first block; replaces the run's own striping and extent allocation.
+  void place_blocks(std::vector<BlockRef> refs) {
+    PDM_CHECK(blocks_.empty(), "place_blocks after the first block");
+    placed_ = std::move(refs);
   }
 
   BlockRef block_ref(u64 i) const {
@@ -226,6 +245,9 @@ class StripedRun {
       ctx_->write_batch(std::span<const WriteReq>(&req, 1));
       tail_.clear();
     }
+    PDM_CHECK(placed_.empty() || placed_.size() == blocks_.size(),
+              "run finished short of its placed blocks");
+    placed_ = {};
     release_extent_tails();
   }
 
@@ -303,6 +325,11 @@ class StripedRun {
 
   BlockRef alloc_next_block() {
     const u64 b = blocks_.size();
+    if (!placed_.empty()) {
+      PDM_CHECK(b < placed_.size(), "run grew past its placed blocks");
+      blocks_.push_back(placed_[b]);
+      return placed_[b];
+    }
     const bool in_unit = b < unit_span_;
     const u64 stripe = in_unit ? b / unit_ : b;
     const u32 disk = static_cast<u32>((start_disk_ + stripe) % ctx_->D());
@@ -339,6 +366,7 @@ class StripedRun {
   }
 
   bool owns_tails() const {
+    if (blocks_.size() < placed_.size()) return true;
     for (const Extent& e : extents_) {
       if (e.count > 0) return true;
     }
@@ -360,6 +388,7 @@ class StripedRun {
   std::vector<BlockRef> blocks_;
   std::vector<Extent> extents_;  // per-disk unconsumed allocation tail
   std::vector<u32> grow_;        // per-disk next extent size (doubling)
+  std::vector<BlockRef> placed_;  // up-front placement (empty = allocate)
   std::vector<R> tail_;
   u64 size_ = 0;
   usize rpb_ = 0;

@@ -98,55 +98,62 @@ CleanupOutcome lmm_merge_from_parts(PdmContext& ctx,
 
   // Pass B: several groups share one memory load whenever a group is
   // smaller than M, so both the batched read and the batched write stay
-  // D-wide even when l*part_len << M (e.g. few runs on many disks).
+  // D-wide even when l*part_len << M (e.g. few runs on many disks). The
+  // layout (LmmPartLayout) decides which groups share a load.
   trace::TraceSpan trace_span("pass", "lmm_group_merge", "groups", m);
-  std::vector<StripedRun<R>> q;
-  q.reserve(m);
-  for (usize j = 0; j < m; ++j) {
-    q.emplace_back(ctx, static_cast<u32>(j % ctx.D()));
-  }
+  const LmmPartLayout layout =
+      LmmPartLayout::for_merge(mem, l, m, part_len, rpb, ctx.D());
+  std::vector<StripedRun<R>> q = layout.merged_runs<R>(ctx);
   {
     const u64 group_sz = l * part_len;
-    const usize groups_per_load =
-        static_cast<usize>(std::max<u64>(1, mem / group_sz));
+    const u64 part_blocks = part_len / rpb;
     TrackedBuffer<R> buf(ctx.budget(),
-                         groups_per_load * static_cast<usize>(group_sz));
+                         static_cast<usize>(layout.unit * group_sz));
     TrackedBuffer<R> merged(ctx.budget(), buf.size());
-    // Groups are batched in a *strided* order (j = r, r+S, r+2S, ...):
-    // part (i, j) starts on disk (i+j) mod D, so a batch of consecutive
-    // groups would pile onto a triangular disk profile; stride-S batches
-    // spread i + j uniformly.
-    const usize stride = ceil_div(m, groups_per_load);
-    for (usize r = 0; r < stride; ++r) {
+    for (u64 r = 0; r < layout.loads(); ++r) {
       ctx.check_cancelled();
-      std::vector<usize> batch;
-      for (usize j = r; j < m; j += stride) batch.push_back(j);
-      if (batch.empty()) continue;
+      const std::vector<u64> batch = layout.load_groups(r);
+      // Placed parts are read run-major: on each disk a run's parts of
+      // this load lie side by side at a uniform buffer stride, so they
+      // coalesce. Parts in their own extents are read group by group.
       std::vector<ReadReq> rreqs;
-      rreqs.reserve(batch.size() * l * static_cast<usize>(part_len / rpb));
-      for (usize g = 0; g < batch.size(); ++g) {
+      rreqs.reserve(batch.size() * l * static_cast<usize>(part_blocks));
+      auto stage = [&](usize i, usize g) {
+        for (u64 b = 0; b < part_blocks; ++b) {
+          rreqs.push_back(parts[i][batch[g]].read_req(
+              b, buf.data() + g * group_sz + i * part_len + b * rpb));
+        }
+      };
+      if (layout.balanced()) {
         for (usize i = 0; i < l; ++i) {
-          for (u64 b = 0; b < part_len / rpb; ++b) {
-            rreqs.push_back(parts[i][batch[g]].read_req(
-                b, buf.data() + g * group_sz + i * part_len + b * rpb));
-          }
+          for (usize g = 0; g < batch.size(); ++g) stage(i, g);
+        }
+      } else {
+        for (usize g = 0; g < batch.size(); ++g) {
+          for (usize i = 0; i < l; ++i) stage(i, g);
         }
       }
       ctx.io().read(rreqs);
       // Merge the batch's groups across the kernel budget — each group
       // writes a disjoint slice of `merged`, so any budget produces the
-      // same bytes — then stage the write batch serially in the original
-      // group order (the request sequence the schedule hash pins).
+      // same bytes — then stage the write batch serially (the request
+      // sequence the schedule hash pins).
       ctx.cpu_pool().run_chunks(batch.size(), [&](usize g) {
         detail::merge_segments<R, Cmp>(buf.data() + g * group_sz, l, part_len,
                                        merged.data() + g * group_sz, cmp);
       });
+      // Staged in the (chunk, group, block) order the Q blocks are placed
+      // in on each disk, so stretches of one disk coalesce.
+      const u64 q_blocks = layout.merged_blocks();
+      const u64 k = layout.staged_blocks();
       std::vector<WriteReq> wreqs;
-      wreqs.reserve(batch.size() * static_cast<usize>(group_sz / rpb));
-      for (usize g = 0; g < batch.size(); ++g) {
-        R* out = merged.data() + g * group_sz;
-        for (u64 b = 0; b < group_sz / rpb; ++b) {
-          wreqs.push_back(q[batch[g]].stage_append_block(out + b * rpb));
+      wreqs.reserve(batch.size() * static_cast<usize>(q_blocks));
+      for (u64 t0 = 0; t0 < q_blocks; t0 += k) {
+        for (usize g = 0; g < batch.size(); ++g) {
+          for (u64 t = t0; t < std::min(q_blocks, t0 + k); ++t) {
+            wreqs.push_back(q[batch[g]].stage_append_block(
+                merged.data() + g * group_sz + t * rpb));
+          }
         }
       }
       ctx.io().write(wreqs);
@@ -208,13 +215,10 @@ CleanupOutcome lmm_merge(PdmContext& ctx, std::span<const StripedRun<R>> runs,
   const u64 load_sz = round_down(mem, m * rpb);
   PDM_CHECK(load_sz > 0, "memory too small for unshuffle load");
   trace::TraceSpan trace_span("pass", "lmm_unshuffle", "runs", l);
+  const LmmPartLayout layout =
+      LmmPartLayout::for_merge(mem, l, m, p_len, rpb, ctx.D());
   FormedRuns<R> parts(l);
-  for (usize i = 0; i < l; ++i) {
-    parts[i].reserve(static_cast<usize>(m));
-    for (u64 j = 0; j < m; ++j) {
-      parts[i].emplace_back(ctx, static_cast<u32>((i + j) % ctx.D()));
-    }
-  }
+  for (usize i = 0; i < l; ++i) parts[i] = layout.run_parts<R>(ctx, i);
   {
     TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(load_sz));
     TrackedBuffer<R> scatter(ctx.budget(), static_cast<usize>(load_sz));
@@ -227,9 +231,9 @@ CleanupOutcome lmm_merge(PdmContext& ctx, std::span<const StripedRun<R>> runs,
         R* d = dst + j * per_part;
         for (u64 t = 0; t < per_part; ++t) d[t] = src[t * m + j];
       });
-      // Part-major staging (see run_formation.h): each part's blocks are
-      // consecutive in the batch, so per disk they form extent-contiguous
-      // spans the scheduler coalesces; per-disk load is unchanged.
+      // Part-major staging (see run_formation.h): per disk the run's
+      // blocks go out in the order they are placed in, so the scheduler
+      // coalesces them; per-disk load is unchanged.
       for (u64 j = 0; j < m; ++j) {
         for (u64 b = 0; b < per_part / rpb; ++b) {
           reqs.push_back(parts[run][static_cast<usize>(j)].stage_append_block(

@@ -67,6 +67,167 @@ struct MergeRunLayout {
   }
 };
 
+/// Disk layout of an (l, m)-merge (lmm_merge.h): l runs, each unshuffled
+/// into m parts of part_blocks blocks; the group merge reads group j (part
+/// j of every run) u = floor(M / (l * part_len)) groups per memory load and
+/// writes the merged sequence Q_j; the cleanup then reads the same k =
+/// floor(M / (m * B)) blocks of every Q_j per chunk. On the part grid:
+///   - block b of part (i, j) lives on disk (i + floor(j / u) + b) mod D,
+///     so the u parts of run i that one load reads share a disk; each run
+///     keeps its blocks on each disk as one extent in (part, block) order,
+///     so one load reads a run's piece as one contiguous span per disk;
+///   - block t of Q_j lives on disk (floor(j / u) + t) mod D; each disk
+///     holds one span of Q blocks in (chunk, j, t) order (chunk = t / k),
+///     so a cleanup chunk reads one contiguous span per disk and a load
+///     writes Q in spans of u blocks when k = 1 (ThreePass2).
+/// Loads take u consecutive groups. Two exceptions keep the per-disk block
+/// load of every batch, hence the paper's op count, identical to the plain
+/// layout (part block on disk (i + j + b) mod D, Q_j block t on
+/// (j + t) mod D):
+///   - only the first grid_parts = u*D*floor(m/(u*D)) parts of each run,
+///     and their groups' Q_j, are on the grid; the rest keep the plain rule
+///     (inside the same per-disk spans);
+///   - the layout needs D | l or D | part_blocks, which makes every group
+///     load each disk equally, so any choice of groups per load costs the
+///     same ops. Otherwise (balanced() is false) the merge keeps the plain
+///     layout, per-run extents, and loads groups a stride of ceil(m/u)
+///     apart, which spreads i + j over the disks.
+/// With ctx.extent_blocks() <= 1 runs keep the layout's disks but allocate
+/// single blocks as they grow (the block-interleaved baseline). Placed
+/// blocks belong to the merge's runs and, like theirs, are not freed by it.
+struct LmmPartLayout {
+  u64 runs = 0;          // l
+  u64 parts = 0;         // m
+  u64 part_blocks = 0;   // blocks per part
+  u64 unit = 1;          // u: groups per memory load
+  u64 chunk_blocks = 1;  // k: blocks of each Q_j per cleanup chunk
+  u64 grid_parts = 0;    // parts on the grid (a multiple of u * D)
+  u32 disks = 1;         // D
+
+  /// The layout of a merge with memory `mem` over `runs` runs of `parts`
+  /// parts of `part_len` records (a multiple of rpb).
+  static LmmPartLayout for_merge(u64 mem, u64 runs, u64 parts, u64 part_len,
+                                 u64 rpb, u32 disks) {
+    LmmPartLayout a;
+    a.runs = runs;
+    a.parts = parts;
+    a.part_blocks = part_len / rpb;
+    a.unit = std::max<u64>(1, mem / (runs * part_len));
+    a.chunk_blocks = std::max<u64>(1, mem / (parts * rpb));
+    a.disks = disks;
+    if (a.balanced()) a.grid_parts = round_down(parts, a.unit * disks);
+    return a;
+  }
+
+  bool balanced() const {
+    return runs % disks == 0 || part_blocks % disks == 0;
+  }
+
+  /// Stripe offset of group j: floor(j / u) on the grid, j off it.
+  u64 group_disk(u64 j) const { return j < grid_parts ? j / unit : j; }
+
+  u32 part_start_disk(u64 run, u64 j) const {
+    return static_cast<u32>((run + group_disk(j)) % disks);
+  }
+  u32 merged_start_disk(u64 j) const {
+    return static_cast<u32>(group_disk(j) % disks);
+  }
+
+  /// Blocks of each merged sequence Q_j.
+  u64 merged_blocks() const { return runs * part_blocks; }
+
+  /// Blocks of one Q_j that a load's write stages together: a chunk's
+  /// stretch (they sit side by side) when placed, else the whole Q_j, whose
+  /// own extents then hold it.
+  u64 staged_blocks() const {
+    return balanced() ? chunk_blocks : merged_blocks();
+  }
+
+  /// Memory loads of the group merge: ceil(m / u).
+  u64 loads() const { return ceil_div(parts, unit); }
+
+  /// The groups merged in load r, in staging order.
+  std::vector<u64> load_groups(u64 r) const {
+    std::vector<u64> g;
+    if (balanced()) {
+      for (u64 j = r * unit; j < std::min(parts, (r + 1) * unit); ++j) {
+        g.push_back(j);
+      }
+    } else {
+      for (u64 j = r; j < parts; j += loads()) g.push_back(j);
+    }
+    return g;
+  }
+
+  /// The m part runs of run i, with their blocks placed (see above).
+  template <Record R>
+  std::vector<StripedRun<R>> run_parts(PdmContext& ctx, u64 run) const {
+    std::vector<StripedRun<R>> out;
+    out.reserve(static_cast<usize>(parts));
+    for (u64 j = 0; j < parts; ++j) {
+      out.emplace_back(ctx, part_start_disk(run, j));
+    }
+    if (placing(ctx)) {
+      place(ctx, out, [&](auto&& visit) {
+        for (u64 j = 0; j < parts; ++j) {
+          for (u64 b = 0; b < part_blocks; ++b) visit(j, b);
+        }
+      });
+    }
+    return out;
+  }
+
+  /// The m merged sequences Q_j (runs * part_blocks blocks each), with
+  /// their blocks placed (see above).
+  template <Record R>
+  std::vector<StripedRun<R>> merged_runs(PdmContext& ctx) const {
+    std::vector<StripedRun<R>> out;
+    out.reserve(static_cast<usize>(parts));
+    for (u64 j = 0; j < parts; ++j) out.emplace_back(ctx, merged_start_disk(j));
+    if (placing(ctx)) {
+      const u64 len = merged_blocks();
+      place(ctx, out, [&](auto&& visit) {
+        for (u64 t0 = 0; t0 < len; t0 += chunk_blocks) {
+          for (u64 j = 0; j < parts; ++j) {
+            for (u64 t = t0; t < std::min(len, t0 + chunk_blocks); ++t) {
+              visit(j, t);
+            }
+          }
+        }
+      });
+    }
+    return out;
+  }
+
+ private:
+  bool placing(PdmContext& ctx) const {
+    return balanced() && ctx.extent_blocks() > 1;
+  }
+
+  /// Places every block of the runs in `out` (block b of run j on disk
+  /// (start disk + b) mod D) in one extent per disk, in the order `order`
+  /// visits the (run, block) pairs.
+  template <Record R, class Order>
+  void place(PdmContext& ctx, std::vector<StripedRun<R>>& out,
+             Order&& order) const {
+    std::vector<std::vector<BlockRef>> refs(out.size());
+    std::vector<u64> used(disks, 0);  // blocks per disk, then extent bases
+    order([&](u64 j, u64 b) {
+      const u32 d = static_cast<u32>((out[j].start_disk() + b) % disks);
+      refs[static_cast<usize>(j)].push_back(BlockRef{d, used[d]++});
+    });
+    for (u32 d = 0; d < disks; ++d) {
+      if (used[d] > 0) {
+        used[d] = ctx.alloc().alloc_extent(d, used[d], ctx.alloc_region()).index;
+      }
+    }
+    for (usize j = 0; j < out.size(); ++j) {
+      for (BlockRef& r : refs[j]) r.index += used[r.disk];
+      out[j].place_blocks(std::move(refs[j]));
+    }
+  }
+};
+
 struct RunFormationOptions {
   u64 run_len = 0;          // records per run (<= M, multiple of B)
   u32 unshuffle_parts = 1;  // m; run_len must be a multiple of m*B when m>1
@@ -78,9 +239,8 @@ struct RunFormationOptions {
 
 /// parts[i][j] = part j of sorted run i (stride-m decimation, itself
 /// sorted). With unshuffle_parts == 1 each inner vector has one entry: the
-/// whole sorted run. Part (i, j) starts on disk (i + j) mod D so that the
-/// later group-merge pass, which reads part j of every run together,
-/// touches all disks.
+/// whole sorted run. Unshuffled runs of full length are laid out for the
+/// group merge that reads them (LmmPartLayout, with M = run_len).
 template <Record R>
 using FormedRuns = std::vector<std::vector<StripedRun<R>>>;
 
@@ -150,6 +310,10 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
 
   FormedRuns<R> out;
   out.reserve(static_cast<usize>(num_runs));
+  const LmmPartLayout lmm =
+      m > 1 ? LmmPartLayout::for_merge(run_len, num_runs, m, run_len / m, rpb,
+                                       ctx.D())
+            : LmmPartLayout{};
 
   auto records_of = [&](u64 i) { return std::min(run_len, n - i * run_len); };
   u64 issued = 0;
@@ -215,17 +379,14 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
       const R* src = buf;
       for (u64 t = 0; t < p_len; ++t) dst[t] = src[t * m + j];
     });
-    runs_i.reserve(m);
+    runs_i = lmm.run_parts<R>(ctx, i);
     std::vector<WriteReq> reqs;
     reqs.reserve(static_cast<usize>(m * (p_len / rpb)));
-    for (u64 j = 0; j < m; ++j) {
-      runs_i.emplace_back(ctx, static_cast<u32>((i + j) % ctx.D()));
-    }
-    // Part-major staging: part j's blocks go out consecutively, so on
-    // each disk the batch is a physically contiguous extent per part
-    // (blocks b, b+D, ... of one run share an allocation extent) and the
-    // scheduler coalesces it into one syscall. Per-disk load — hence the
-    // parallel-op count — is identical to block-major order.
+    // Part-major staging: on each disk the run's blocks go out in the
+    // (part, block) order they are placed in, so the scheduler coalesces
+    // each stretch at a uniform buffer stride into one syscall. Per-disk
+    // load — hence the parallel-op count — is identical to block-major
+    // order.
     for (u64 j = 0; j < m; ++j) {
       for (u64 b = 0; b < p_len / rpb; ++b) {
         reqs.push_back(runs_i[static_cast<usize>(j)].stage_append_block(

@@ -103,7 +103,7 @@ inline std::vector<u64> make_keys(usize n, Dist d, Rng& rng) {
       break;
     case Dist::kNearlySorted: {
       std::iota(v.begin(), v.end(), u64{0});
-      const usize swaps = std::max<usize>(1, n / 64);
+      const usize swaps = n == 0 ? 0 : std::max<usize>(1, n / 64);
       for (usize i = 0; i < swaps; ++i) {
         usize a = static_cast<usize>(rng.below(n));
         usize b = static_cast<usize>(rng.below(n));

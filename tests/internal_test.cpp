@@ -109,8 +109,7 @@ void expect_radix_matches_std_sort_on_all_dists(Make make) {
                     usize{65536}, usize{110080}}) {
       SCOPED_TRACE(std::string(dist_name(d)) + " n=" + std::to_string(n));
       Rng rng(1000 + n);
-      auto keys = make_keys(std::max<usize>(n, 2), d, rng);
-      keys.resize(n);  // the generators need n >= 2
+      const auto keys = make_keys(n, d, rng);
       std::vector<R> in(n);
       for (usize i = 0; i < n; ++i) in[i] = make(keys[i], n);
       expect_matches_std_sort(in);

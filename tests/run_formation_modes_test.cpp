@@ -83,7 +83,9 @@ TEST_P(AdaptiveRunFormation, RunsSortedCoverInputWithLengthBounds) {
           << "run " << i << " length " << lens[i];
     }
   }
-  if (dist == Dist::kSorted) EXPECT_EQ(runs.size(), 1u);
+  if (dist == Dist::kSorted) {
+    EXPECT_EQ(runs.size(), 1u);
+  }
   if (dist == Dist::kNearSortedDisplaced) {
     // Window n/32 = 64 <= M/2: the heap absorbs all displacement.
     EXPECT_EQ(runs.size(), 1u);

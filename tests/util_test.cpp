@@ -144,6 +144,19 @@ TEST(Generators, KvPayloadTracksIndex) {
   for (usize i = 0; i < v.size(); ++i) EXPECT_EQ(v[i].value, i);
 }
 
+TEST(Generators, EveryDistAcceptsEmptyAndSingleInputs) {
+  for (Dist d : {Dist::kUniform, Dist::kPermutation, Dist::kSorted,
+                 Dist::kReverse, Dist::kFewDistinct, Dist::kZipf,
+                 Dist::kAllEqual, Dist::kNearlySorted,
+                 Dist::kNearSortedDisplaced, Dist::kClustered}) {
+    SCOPED_TRACE(dist_name(d));
+    Rng rng(9);
+    EXPECT_TRUE(make_keys(0, d, rng).empty());
+    EXPECT_EQ(make_keys(1, d, rng).size(), 1u);
+    EXPECT_TRUE(make_kv(0, d, rng).empty());
+  }
+}
+
 TEST(Generators, RotatedIsPermutation) {
   auto v = make_rotated(100, 37);
   std::set<u64> s(v.begin(), v.end());
