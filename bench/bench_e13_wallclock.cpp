@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
                [&](PdmContext& c, const StripedRun<u64>& in, usize depth) {
                  ExpectedTwoPassOptions o;
                  o.mem_records = mem;
-                 o.async_depth = depth == 0 ? usize{1} : depth;
+                 AsyncDepthScope scope(c.aio(), depth == 0 ? usize{1} : depth);
                  return expected_two_pass_sort<u64>(c, in, o);
                });
   overlap_case("MultiwayMerge(la=2)",
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
                  MultiwaySortOptions o;
                  o.mem_records = mem;
                  o.lookahead = 2;
-                 o.async_depth = depth == 0 ? usize{1} : depth;
+                 AsyncDepthScope scope(c.aio(), depth == 0 ? usize{1} : depth);
                  return multiway_merge_sort<u64>(c, in, o);
                });
   overlap_case("RadixSort",
@@ -204,11 +204,11 @@ int main(int argc, char** argv) {
                  RadixSortOptions o;
                  o.mem_records = mem;
                  o.key_bits = 32;
-                 o.async_depth = depth == 0 ? usize{1} : depth;
                  auto capped = in.read_all();
                  for (auto& k : capped) k &= 0xFFFFFFFFULL;
                  auto run = write_input_run<u64>(c, std::span<const u64>(capped));
                  c.io().reset_stats();
+                 AsyncDepthScope scope(c.aio(), depth == 0 ? usize{1} : depth);
                  return radix_sort<u64>(c, run, o);
                });
   at.print(std::cout);

@@ -245,8 +245,7 @@ void Cluster::pump_locked() {
       const double est =
           svc.estimate_run_s(h.job.spec, h.job.record_bytes, h.job.n);
       const double ratio = svc.deadline_cal();
-      const double cal =
-          svc.config().deadline_calibration && ratio > 0 ? ratio : 1.0;
+      const double cal = ratio > 0 ? ratio : 1.0;
       const double remaining =
           h.job.spec.deadline_s - seconds(Clock::now() - h.t_submit);
       if (est > 0 && est * cal > remaining) {

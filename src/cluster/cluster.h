@@ -216,15 +216,14 @@ class Cluster {
         // job: the sub-job's spans carry (trace_id, parent_trace_id).
         rs.trace_id = jobtrace::mint();
         rs.parent_trace_id = spec.trace_id;
-        const u64 span = opts.exchange_span_blocks;
         // The completion callback runs on the range's shard worker while
         // its output run and context are alive: exporting there is the
         // only window, and each range writes a distinct slot (the
         // coordinator reads it only after wait() observes kDone).
         PreparedJob pj = SortService::prepare<R>(
             std::move(rs), std::move(parts[r]), cmp,
-            [gathered, r, span](const SortResult<R>& res) {
-              (*gathered)[r] = export_run<R>(res.output, span);
+            [gathered, r](const SortResult<R>& res) {
+              (*gathered)[r] = export_run<R>(res.output);
             });
         const JobId sub = submit_prepared(std::move(pj));
         subs[r] = sub;

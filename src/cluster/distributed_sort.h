@@ -29,10 +29,6 @@ struct DistributedOptions {
 
   /// Seed for splitter sampling (deterministic partitions per seed).
   u64 sample_seed = 1;
-
-  /// Blocks per batched read when exporting sorted ranges off their
-  /// shards; 0 = one allocation extent per disk (see extent_exchange.h).
-  u64 exchange_span_blocks = 0;
 };
 
 /// Type-erased snapshot of a distributed job (Cluster::distributed_info /

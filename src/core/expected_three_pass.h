@@ -11,8 +11,6 @@
 // deterministic (l,m)-merge (+3 passes over that scope).
 #pragma once
 
-#include <optional>
-
 #include "core/capacity.h"
 #include "core/sort_report.h"
 #include "primitives/cleanup.h"
@@ -27,7 +25,6 @@ struct ExpectedThreePassOptions {
   u64 mem_records = 0;
   double alpha = 1.0;
   u64 segment_len = 0;  // 0 = choose automatically
-  usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
 namespace detail {
@@ -70,8 +67,6 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
   PDM_CHECK(segments * rpb <= mem,
             "too many segments: final pass reads one block per segment");
 
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "ExpectedThreePass", n, mem, rpb);
   bool any_fallback = false;
 

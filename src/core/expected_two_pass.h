@@ -15,8 +15,6 @@
 // literal behaviour).
 #pragma once
 
-#include <optional>
-
 #include "core/capacity.h"
 #include "core/sort_report.h"
 #include "core/three_pass_lmm.h"
@@ -33,7 +31,6 @@ struct ExpectedTwoPassOptions {
   u64 run_len = 0;             // 0 => M (§5); mesh variant: N/sqrt(M)
   bool resort_from_scratch = false;  // paper-literal fallback
   bool enforce_capacity = false;     // refuse N beyond the w.h.p. bound
-  usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
 template <Record R, class Cmp = std::less<R>>
@@ -58,8 +55,6 @@ SortResult<R> expected_two_pass_sort(PdmContext& ctx,
               "N exceeds the Theorem 5.1 capacity");
   }
 
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "ExpectedTwoPass", n, mem, rpb);
 
   // Pass 1, in the merge-run layout of the pass-2 cleanup: each chunk's

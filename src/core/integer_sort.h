@@ -13,8 +13,6 @@
 // pad blocks at the price of one extra M of staging memory.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/sort_report.h"
@@ -23,126 +21,6 @@
 #include "primitives/stream.h"
 
 namespace pdm {
-
-/// Streaming block-batched reader (striped or ragged source).
-template <Record R>
-class RecordReader {
- public:
-  virtual ~RecordReader() = default;
-  /// Reads up to max_records (whole blocks; compacting any padding);
-  /// returns the number of valid records delivered.
-  virtual usize read_up_to(R* dst, usize max_records) = 0;
-
-  /// Asynchronous variant: stages the reads without blocking, stores the
-  /// completion ticket in *ticket (0 = already done) and returns the
-  /// record count dst will hold once finalize(dst) has been called after
-  /// the ticket completes. Default: synchronous read, nothing to finalize.
-  virtual usize read_up_to_async(R* dst, usize max_records, IoTicket* ticket) {
-    *ticket = 0;
-    return read_up_to(dst, max_records);
-  }
-
-  /// Post-completion fixup for a buffer staged by read_up_to_async (e.g.
-  /// compaction of ragged blocks). Must be called after the ticket
-  /// completes and before the data is consumed. Default: no-op.
-  virtual void finalize(R* dst) { (void)dst; }
-
-  virtual bool exhausted() const = 0;
-  virtual u64 total() const = 0;
-};
-
-template <Record R>
-class StripedRunReader final : public RecordReader<R> {
- public:
-  explicit StripedRunReader(const StripedRun<R>& run) : run_(&run) {}
-
-  usize read_up_to(R* dst, usize max_records) override {
-    IoTicket t = 0;
-    const usize valid = read_up_to_async(dst, max_records, &t);
-    run_->ctx().aio().wait(t);
-    return valid;
-  }
-
-  usize read_up_to_async(R* dst, usize max_records,
-                         IoTicket* ticket) override {
-    const usize rpb = run_->rpb();
-    const u64 nb = std::min<u64>(max_records / rpb,
-                                 run_->num_blocks() - next_block_);
-    *ticket = 0;
-    if (nb == 0) return 0;
-    *ticket = run_->read_blocks_async(next_block_, nb, dst);
-    usize valid = 0;
-    for (u64 b = 0; b < nb; ++b) {
-      valid += run_->records_in_block(next_block_ + b);
-    }
-    next_block_ += nb;
-    return valid;  // only the final block can be partial, pad is at the end
-  }
-
-  bool exhausted() const override { return next_block_ >= run_->num_blocks(); }
-  u64 total() const override { return run_->size(); }
-
- private:
-  const StripedRun<R>* run_;
-  u64 next_block_ = 0;
-};
-
-template <Record R>
-class RaggedRunReader final : public RecordReader<R> {
- public:
-  explicit RaggedRunReader(const RaggedRun<R>& run) : run_(&run) {}
-
-  usize read_up_to(R* dst, usize max_records) override {
-    const usize rpb = run_->rpb();
-    const u64 nb = std::min<u64>(max_records / rpb,
-                                 run_->num_segments() - next_seg_);
-    if (nb == 0) return 0;
-    const usize valid = run_->read_segments(next_seg_, nb, dst);
-    next_seg_ += nb;
-    return valid;
-  }
-
-  usize read_up_to_async(R* dst, usize max_records,
-                         IoTicket* ticket) override {
-    const usize rpb = run_->rpb();
-    const u64 nb = std::min<u64>(max_records / rpb,
-                                 run_->num_segments() - next_seg_);
-    *ticket = 0;
-    if (nb == 0) return 0;
-    *ticket = run_->read_segments_async(next_seg_, nb, dst);
-    pending_.push_back(Pending{dst, next_seg_, nb});
-    const usize valid = run_->valid_in_segments(next_seg_, nb);
-    next_seg_ += nb;
-    return valid;
-  }
-
-  void finalize(R* dst) override {
-    for (usize i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].dst == dst) {
-        run_->compact_segments(pending_[i].first, pending_[i].count, dst);
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-    PDM_ASSERT(false, "finalize for a buffer with no staged ragged read");
-  }
-
-  bool exhausted() const override {
-    return next_seg_ >= run_->num_segments();
-  }
-  u64 total() const override { return run_->size(); }
-
- private:
-  struct Pending {
-    R* dst;
-    u64 first;
-    u64 count;
-  };
-
-  const RaggedRun<R>* run_;
-  u64 next_seg_ = 0;
-  std::vector<Pending> pending_;
-};
 
 /// Bucket block placement policy. kRotation keeps each bucket's blocks on
 /// consecutive disks (sequential reads of one bucket hit all disks — the
@@ -160,12 +38,13 @@ struct DistributeOutcome {
   u64 phases = 0;
 };
 
-/// One distribution pass: reads the input in M-record phases and appends
-/// each record to bucket digit_fn(record) (must be < num_buckets). All of
-/// a phase's blocks are written in one batched parallel operation.
-template <Record R, class DigitFn>
+/// One distribution pass: reads the input (a StripedRun or a RaggedRun)
+/// in M-record phases and appends each record to bucket digit_fn(record)
+/// (must be < num_buckets). All of a phase's blocks are written in one
+/// batched parallel operation.
+template <Record R, class Run, class DigitFn>
 DistributeOutcome<R> distribute_pass(
-    PdmContext& ctx, RecordReader<R>& in, u32 num_buckets, u64 mem_records,
+    PdmContext& ctx, const Run& in, u32 num_buckets, u64 mem_records,
     bool staged, DigitFn digit_fn,
     BucketPlacement placement = BucketPlacement::kRotation) {
   const usize rpb = ctx.rpb<R>();
@@ -184,12 +63,12 @@ DistributeOutcome<R> distribute_pass(
     out.buckets.emplace_back(ctx, i % ctx.D());
   }
 
-  TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(load_sz));
-  // Double-buffered input when the async pipeline is on: the next phase's
-  // load streams in while this phase partitions and scatters.
-  const bool async = ctx.aio().enabled();
-  TrackedBuffer<R> load2;
-  if (async) load2 = TrackedBuffer<R>(ctx.budget(), load.size());
+  // Prefetch ring: two slabs with the async pipeline on, so the next
+  // phase's load streams in while this one partitions and scatters, and
+  // one slab off. Each slab takes whole blocks; the per-block valid counts
+  // squeeze out a ragged input's padding once the read has landed.
+  ReadAheadRing<R> ring(ctx.aio(), ctx.budget(), static_cast<usize>(load_sz),
+                        ctx.aio().enabled() ? 2 : 1);
   // Only used by kBalancedBatch: rotates across each phase's whole batch.
   u64 disk_cursor = 0;
   TrackedBuffer<R> grouped(ctx.budget(), static_cast<usize>(load_sz));
@@ -198,6 +77,9 @@ DistributeOutcome<R> distribute_pass(
   TrackedBuffer<R> staging(ctx.budget(),
                            static_cast<usize>(num_buckets) * rpb);
   std::vector<usize> staged_cnt(num_buckets, 0);
+  // Staged mode: records at the end of each bucket's group still to be
+  // carried once the phase's batch is out (see flush_phase).
+  std::vector<usize> tail_cnt(num_buckets, 0);
   std::vector<u64> counts(num_buckets);
   std::vector<u64> bounds(num_buckets + 1);
   // After every buffer an in-flight read could target.
@@ -249,11 +131,9 @@ DistributeOutcome<R> distribute_pass(
           reqs.push_back(stage(out.buckets[i], g + b * rpb, rpb));
           ++out.data_blocks;
         }
-        const u64 rest = cnt - full * rpb;
-        if (rest > 0) {
-          std::copy(g + full * rpb, g + cnt, carry);
-          staged_cnt[i] = static_cast<usize>(rest);
-        }
+        // The rest is carried only after the write batch is submitted:
+        // `carry` may hold the block just completed above, still in reqs.
+        tail_cnt[i] = static_cast<usize>(cnt - full * rpb);
       } else {
         // Paper mode: ceil(cnt/B) blocks, last one zero padded.
         const u64 full = cnt / rpb;
@@ -273,38 +153,32 @@ DistributeOutcome<R> distribute_pass(
       }
     }
     ctx.write_batch(reqs);
+    for (u32 i = 0; i < num_buckets; ++i) {
+      if (tail_cnt[i] == 0) continue;
+      const R* end = grouped.data() + bounds[i + 1];
+      std::copy(end - tail_cnt[i], end,
+                staging.data() + static_cast<usize>(i) * rpb);
+      staged_cnt[i] = tail_cnt[i];
+      tail_cnt[i] = 0;
+    }
     ++out.phases;
   };
 
-  if (async) {
-    // Ping-pong: issue the next load before partitioning the current one.
-    R* bufs[2] = {load.data(), load2.data()};
-    IoTicket tickets[2] = {0, 0};
-    usize cur = 0;
-    usize got = in.exhausted()
-                    ? usize{0}
-                    : in.read_up_to_async(bufs[0], static_cast<usize>(load_sz),
-                                          &tickets[0]);
-    while (got > 0) {
-      const usize next = cur ^ 1;
-      const usize next_got =
-          in.exhausted() ? usize{0}
-                         : in.read_up_to_async(
-                               bufs[next], static_cast<usize>(load_sz),
-                               &tickets[next]);
-      ctx.aio().wait(tickets[cur]);
-      in.finalize(bufs[cur]);
-      flush_phase(std::span<const R>(bufs[cur], got));
-      cur = next;
-      got = next_got;
+  const u64 load_blocks = load_sz / rpb;
+  const u64 in_blocks = in.num_blocks();
+  u64 issued = 0;  // input blocks submitted to the ring
+  while (issued < in_blocks || !ring.empty()) {
+    while (issued < in_blocks && !ring.full()) {
+      const u64 nb = std::min(load_blocks, in_blocks - issued);
+      std::vector<usize> valid;
+      auto reqs = block_range_reqs(in, issued, nb, ring.stage(), valid);
+      ring.push(reqs, std::move(valid));
+      issued += nb;
     }
-  } else {
-    while (!in.exhausted()) {
-      const usize got =
-          in.read_up_to(load.data(), static_cast<usize>(load_sz));
-      if (got == 0) break;
-      flush_phase(std::span<const R>(load.data(), got));
-    }
+    const auto slab = ring.front();
+    flush_phase(std::span<const R>(
+        slab.data, compact_blocks(slab.data, rpb, *slab.valid)));
+    ring.pop();
   }
 
   if (staged) {
@@ -324,14 +198,25 @@ DistributeOutcome<R> distribute_pass(
   return out;
 }
 
+/// Appends `src`'s records to `out`, reading as many whole blocks at a
+/// time as `buf` holds.
+template <Record R>
+void append_compacted(const RaggedRun<R>& src, StripedRun<R>& out,
+                      std::span<R> buf) {
+  const u64 step = buf.size() / src.rpb();
+  for (u64 b = 0; b < src.num_blocks(); b += step) {
+    const usize got = read_compacted(
+        src, b, std::min(step, src.num_blocks() - b), buf.data());
+    out.append(std::span<const R>(buf.data(), got));
+  }
+}
+
 struct IntegerSortOptions {
   u64 mem_records = 0;
   u64 range = 0;            // keys are in [0, range); range <= M/B
   bool placement_pass = true;  // paper's step A
   bool staged = false;         // extension: carry partial blocks in memory
   BucketPlacement placement = BucketPlacement::kRotation;
-  usize async_depth = 0;  // >= 2: run with the async I/O pipeline at this
-                          // depth for this sort; 0 = inherit the context
 };
 
 template <Record R>
@@ -350,14 +235,11 @@ IntegerSortResult<R> integer_sort(PdmContext& ctx, const StripedRun<R>& input,
   const u64 mem = opt.mem_records;
   PDM_CHECK(opt.range > 0 && opt.range * rpb <= mem,
             "IntegerSort needs range <= M/B");
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "IntegerSort", input.size(), mem, rpb);
 
   IntegerSortResult<R> result;
-  StripedRunReader<R> reader(input);
   auto dist = distribute_pass<R>(
-      ctx, reader, static_cast<u32>(opt.range), mem, opt.staged,
+      ctx, input, static_cast<u32>(opt.range), mem, opt.staged,
       [range = opt.range](const R& r) {
         const u64 k = record_key(r);
         PDM_CHECK(k < range, "key out of declared range");
@@ -371,12 +253,7 @@ IntegerSortResult<R> integer_sort(PdmContext& ctx, const StripedRun<R>& input,
     result.output = StripedRun<R>(ctx, 0);
     TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(round_down(mem, rpb)));
     for (auto& bucket : dist.buckets) {
-      RaggedRunReader<R> br(bucket);
-      while (!br.exhausted()) {
-        const usize got = br.read_up_to(buf.data(), buf.size());
-        if (got == 0) break;
-        result.output.append(std::span<const R>(buf.data(), got));
-      }
+      append_compacted(bucket, result.output, buf.span());
     }
     result.output.finish();
     PDM_ASSERT(result.output.size() == input.size(),

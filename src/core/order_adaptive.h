@@ -96,7 +96,7 @@ PresortednessProbe probe_presortedness(PdmContext& ctx,
     reqs.push_back(
         input.read_req(b + lag_blocks, buf.data() + (2 * i + 1) * rpb));
   }
-  ctx.aio().wait(ctx.aio().read_async(reqs));
+  ctx.io().read(reqs);
   u64 inv = 0;
   for (u64 i = 0; i < want; ++i) {
     const u64 b = lows[static_cast<usize>(i)];

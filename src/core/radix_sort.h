@@ -22,7 +22,6 @@ struct RadixSortOptions {
   u32 digit_bits = 0;   // 0 = floor(log2(M/B))
   bool staged = false;  // use the staged distribution (extension)
   BucketPlacement placement = BucketPlacement::kRotation;
-  usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
 namespace detail {
@@ -46,16 +45,15 @@ struct RadixState {
   u64 max_depth = 0;
 };
 
-template <Record R>
-void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
-                   u64 depth) {
+template <Record R, class Run>
+void radix_recurse(RadixState<R>& st, const Run& in, u32 shift, u64 depth) {
   st.max_depth = std::max(st.max_depth, depth);
   const u32 w = st.digit_bits;
   auto digit = [shift, w](const R& r) {
     return static_cast<usize>((record_key(r) >> shift) &
                               ((u64{1} << w) - 1));
   };
-  auto dist = distribute_pass<R>(*st.ctx, reader, u32{1} << w, st.mem,
+  auto dist = distribute_pass<R>(*st.ctx, in, u32{1} << w, st.mem,
                                  st.staged, digit, st.placement);
   ++st.rounds;
 
@@ -70,7 +68,7 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
   usize group_n = 0;        // records already compacted into leaf_buf
   usize pending_valid = 0;  // records covered by pending read reqs
   std::vector<ReadReq> reqs;
-  std::vector<u32> valids;
+  std::vector<usize> valids;
 
   auto read_pending = [&] {
     if (reqs.empty()) return;
@@ -105,14 +103,12 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
       if (group_n + pending_valid + bucket.size() > st.leaf_buf->size()) {
         flush_group();
       }
-      for (u64 s = 0; s < bucket.num_segments(); ++s) {
+      for (u64 b = 0; b < bucket.num_blocks(); ++b) {
         if (valids.size() == io_blocks) read_pending();
-        const auto& seg = bucket.segment(s);
-        reqs.push_back(ReadReq{
-            seg.where, reinterpret_cast<std::byte*>(
-                           st.io_buf->data() + valids.size() * rpb)});
-        valids.push_back(seg.count);
-        pending_valid += seg.count;
+        reqs.push_back(
+            bucket.read_req(b, st.io_buf->data() + valids.size() * rpb));
+        valids.push_back(bucket.records_in_block(b));
+        pending_valid += valids.back();
       }
     } else if (shift == 0) {
       // All remaining key bits equal: any order of the bucket is sorted
@@ -120,17 +116,11 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
       flush_group();
       trace::TraceSpan trace_span("pass", "radix_stream_copy", "records",
                                   bucket.size());
-      RaggedRunReader<R> br(bucket);
-      while (!br.exhausted()) {
-        const usize got = br.read_up_to(st.io_buf->data(), st.io_buf->size());
-        if (got == 0) break;
-        st.out->append(std::span<const R>(st.io_buf->data(), got));
-      }
+      append_compacted(bucket, *st.out, st.io_buf->span());
     } else {
       flush_group();
-      RaggedRunReader<R> br(bucket);
       const u32 next_shift = shift >= w ? shift - w : 0;
-      radix_recurse(st, br, next_shift, depth + 1);
+      radix_recurse(st, bucket, next_shift, depth + 1);
     }
   }
   flush_group();
@@ -148,21 +138,16 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                     : std::max<u32>(1, ilog2(mem / rpb));
   PDM_CHECK((u64{1} << w) * rpb <= mem, "digit width exceeds M/B buckets");
 
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "RadixSort", input.size(), mem, rpb);
   SortResult<R> result;
   result.output = StripedRun<R>(ctx, 0);
 
   if (input.size() <= mem) {
     // Fits in memory: one read + one write pass.
-    TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(mem));
+    TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(std::max<u64>(
+                                           mem, input.num_blocks() * rpb)));
     TrackedBuffer<R> scratch = sort_scratch<R>(ctx, buf.size());
-    StripedRunReader<R> reader(input);
-    usize n = 0;
-    while (!reader.exhausted()) {
-      n += reader.read_up_to(buf.data() + n, buf.size() - n);
-    }
+    const usize n = read_compacted(input, 0, input.num_blocks(), buf.data());
     std::span<R> recs(buf.data(), n);
     internal_sort(recs, KeyLess{}, ctx.cpu_pool(), scratch.span());
     result.output.append(std::span<const R>(recs.data(), n));
@@ -185,8 +170,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                            &io_buf};
   const u32 kb = std::max<u32>(opt.key_bits, 1);
   const u32 top_shift = kb <= w ? 0 : ((kb - 1) / w) * w;
-  StripedRunReader<R> reader(input);
-  detail::radix_recurse<R>(st, reader, top_shift, 1);
+  detail::radix_recurse<R>(st, input, top_shift, 1);
   result.output.finish();
   PDM_ASSERT(result.output.size() == input.size(),
              "RadixSort record count mismatch");

@@ -167,9 +167,9 @@ IoTicket AsyncIoScheduler::read_async(std::span<const ReadReq> reqs,
   // Charge first, on the submitting thread: identical stats to sync. The
   // coalesced form of the batch is what the workers execute — one backend
   // call per extent, same per-disk order as the raw requests.
-  const u64 rounds = sync_->account_read(reqs);
+  const u64 rounds = sync_->account(reqs);
   if (rounds_out != nullptr) *rounds_out = rounds;
-  return submit<ReadReq>(sync_->last_coalesced_reads());
+  return submit<ReadReq>(sync_->last_coalesced<ReadReq>());
 }
 
 IoTicket AsyncIoScheduler::write_async(std::span<const WriteReq> reqs,
@@ -179,9 +179,9 @@ IoTicket AsyncIoScheduler::write_async(std::span<const WriteReq> reqs,
     if (rounds_out != nullptr) *rounds_out = rounds;
     return 0;
   }
-  const u64 rounds = sync_->account_write(reqs);
+  const u64 rounds = sync_->account(reqs);
   if (rounds_out != nullptr) *rounds_out = rounds;
-  return submit<WriteReq>(sync_->last_coalesced_writes());
+  return submit<WriteReq>(sync_->last_coalesced<WriteReq>());
 }
 
 u64 AsyncIoScheduler::read(std::span<const ReadReq> reqs) {

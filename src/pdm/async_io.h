@@ -3,9 +3,9 @@
 //
 // Design:
 //  - Accounting happens on the submitting thread, at submission time,
-//    through IoScheduler::account_read/account_write — so IoStats (op
-//    counts, per-disk block counts, simulated time) are identical to a
-//    synchronous run issuing the same batches, regardless of worker timing.
+//    through IoScheduler::account — so IoStats (op counts, per-disk block
+//    counts, simulated time) are identical to a synchronous run issuing
+//    the same batches, regardless of worker timing.
 //  - Execution is deferred to a fixed pool of worker threads draining one
 //    FIFO queue per disk. At most one worker services a disk at a time, so
 //    requests touching the same disk (hence the same block — a block lives
@@ -163,9 +163,9 @@ class AsyncIoScheduler {
   std::exception_ptr error_;
 };
 
-/// RAII depth override: sets the pipeline depth for the lifetime of a
-/// sorter invocation and restores (draining) on scope exit. Sorters apply
-/// it when their options carry an explicit async_depth.
+/// RAII depth override: sets the pipeline depth for the lifetime of the
+/// scope and restores (draining) on exit. Wrap a sorter call in one to
+/// run that call at its own depth.
 class AsyncDepthScope {
  public:
   AsyncDepthScope(AsyncIoScheduler& aio, usize depth)

@@ -24,25 +24,18 @@
 
 namespace pdm {
 
-/// Blocks per export batch for `run`'s context: one allocation extent per
-/// disk, the largest span the scheduler can merge into one vectored op.
-template <Record R>
-u64 exchange_span_blocks(const StripedRun<R>& run) {
-  const usize per_disk = std::max<usize>(usize{1}, run.ctx().extent_blocks());
-  return static_cast<u64>(per_disk) * run.ctx().D();
-}
-
 /// Reads the whole finished run into `dst` (size run.size()), batching
-/// `span_blocks` blocks per I/O round (0 = one extent per disk, see
-/// exchange_span_blocks). The final partial block's padding is read into
-/// scratch and discarded, so dst needs exactly run.size() records.
+/// one allocation extent per disk per I/O round: the largest span the
+/// scheduler can merge into one vectored op. The final partial block's
+/// padding is read into scratch and discarded, so dst needs exactly
+/// run.size() records.
 template <Record R>
-void export_run(const StripedRun<R>& run, std::span<R> dst,
-                u64 span_blocks = 0) {
+void export_run(const StripedRun<R>& run, std::span<R> dst) {
   PDM_CHECK(dst.size() == run.size(), "export_run: dst size mismatch");
   if (run.size() == 0) return;
   const u64 rpb = run.ctx().template rpb<R>();
-  if (span_blocks == 0) span_blocks = exchange_span_blocks(run);
+  const u64 span_blocks =
+      std::max<u64>(1, run.ctx().extent_blocks()) * run.ctx().D();
   const u64 nb = run.num_blocks();
   const u64 full = dst.size() / rpb;  // blocks that land directly in dst
   for (u64 first = 0; first < full; first += span_blocks) {
@@ -62,9 +55,9 @@ void export_run(const StripedRun<R>& run, std::span<R> dst,
 
 /// Convenience overload allocating the destination.
 template <Record R>
-std::vector<R> export_run(const StripedRun<R>& run, u64 span_blocks = 0) {
+std::vector<R> export_run(const StripedRun<R>& run) {
   std::vector<R> out(static_cast<usize>(run.size()));
-  export_run<R>(run, std::span<R>(out), span_blocks);
+  export_run<R>(run, std::span<R>(out));
   return out;
 }
 

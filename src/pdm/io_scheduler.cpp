@@ -25,11 +25,6 @@ auto req_buf(const Req& r) {
 }
 
 template <class Req>
-i64 req_stride(const Req& r, usize block_bytes) {
-  return r.stride_or(block_bytes);
-}
-
-template <class Req>
 void set_stride(Req& r, i64 stride) {
   if constexpr (std::is_same_v<Req, ReadReq>) {
     r.dst_stride_bytes = stride;
@@ -63,17 +58,17 @@ void coalesce_batch(std::span<const Req> reqs, usize block_bytes,
         // (a striped run's load buffer gives D * block_bytes here).
         i64 stride;
         if (o.count > 1) {
-          stride = req_stride(o, block_bytes);
+          stride = o.stride_or(block_bytes);
         } else if (r.count > 1) {
-          stride = req_stride(r, block_bytes);
+          stride = r.stride_or(block_bytes);
         } else {
           stride = req_buf(r) - req_buf(o);
         }
         const bool adjacent =
             stride != 0 &&
             req_buf(r) == req_buf(o) + static_cast<i64>(o.count) * stride &&
-            (o.count == 1 || req_stride(o, block_bytes) == stride) &&
-            (r.count == 1 || req_stride(r, block_bytes) == stride);
+            (o.count == 1 || o.stride_or(block_bytes) == stride) &&
+            (r.count == 1 || r.stride_or(block_bytes) == stride);
         if (adjacent) {
           o.count += r.count;
           set_stride(o, stride);
@@ -139,141 +134,95 @@ u64 count_req_rounds(std::span<const Req> reqs, u32 num_disks) {
   return rounds;
 }
 
+// A batch's charge to one IoStats: the paper ops and blocks of the raw
+// batch, the calls of its coalesced form, per disk too.
+template <class Req>
+void charge(IoStats& s, std::span<const Req> reqs, std::span<const Req> co,
+            u64 rounds, u64 blocks, double sim) {
+  constexpr bool w = std::is_same_v<Req, WriteReq>;
+  (w ? s.write_ops : s.read_ops) += rounds;
+  (w ? s.blocks_written : s.blocks_read) += blocks;
+  (w ? s.write_calls : s.read_calls) += co.size();
+  s.sim_time_s += sim;
+  std::vector<u64>& disk_blocks = w ? s.disk_writes : s.disk_reads;
+  std::vector<u64>& disk_calls = w ? s.disk_write_calls : s.disk_read_calls;
+  for (const auto& r : reqs) disk_blocks[r.where.disk] += r.count;
+  for (const auto& c : co) ++disk_calls[c.where.disk];
+}
+
 }  // namespace
 
-u64 IoScheduler::account_read(std::span<const ReadReq> reqs) {
-  if (reqs.empty()) {
-    co_reads_.clear();
-    co_read_rounds_ = 0;
-    return 0;
-  }
+template <class Req>
+u64 IoScheduler::account(std::span<const Req> reqs) {
+  constexpr bool is_write = std::is_same_v<Req, WriteReq>;
+  std::vector<Req>& co = coalesced_buf<Req>();
+  co.clear();
+  if (reqs.empty()) return 0;
+  const u32 nd = backend_->num_disks();
   u64 blocks = 0;
   for (const auto& r : reqs) {
-    PDM_CHECK(r.where.disk < backend_->num_disks(), "read: bad disk");
-    PDM_CHECK(r.count > 0, "read: empty request");
+    PDM_CHECK(r.where.disk < nd,
+              is_write ? "write: bad disk" : "read: bad disk");
+    PDM_CHECK(r.count > 0,
+              is_write ? "write: empty request" : "read: empty request");
     blocks += r.count;
     for (u64 b = 0; b < r.count; ++b) {
-      stats_.hash_request(r.where.disk, r.where.index + b, /*is_write=*/false);
+      stats_.hash_request(r.where.disk, r.where.index + b, is_write);
     }
-    stats_.disk_reads[r.where.disk] += r.count;
   }
-  const u64 rounds = count_block_rounds<ReadReq>(reqs, backend_->num_disks());
+  const u64 rounds = count_block_rounds<Req>(reqs, nd);
   const double sim = static_cast<double>(rounds) *
                      cost_.round_cost(backend_->block_bytes());
-  stats_.read_ops += rounds;
-  stats_.blocks_read += blocks;
-  stats_.sim_time_s += sim;
   if (coalescing_) {
-    coalesce_batch<ReadReq>(reqs, backend_->block_bytes(),
-                            backend_->num_disks(), co_reads_);
+    coalesce_batch<Req>(reqs, backend_->block_bytes(), nd, co);
   } else {
-    co_reads_.assign(reqs.begin(), reqs.end());
+    co.assign(reqs.begin(), reqs.end());
   }
-  co_read_rounds_ = count_req_rounds<ReadReq>(co_reads_, backend_->num_disks());
-  stats_.read_calls += co_reads_.size();
-  for (const auto& c : co_reads_) ++stats_.disk_read_calls[c.where.disk];
+  charge<Req>(stats_, reqs, co, rounds, blocks, sim);
   if (totals_ != nullptr) {
-    const usize nd = backend_->num_disks();
-    const usize calls = co_reads_.size();
     totals_->update([&](IoStats& t) {
-      if (t.disk_reads.size() < nd) {  // default-constructed aggregate
-        t.disk_reads.resize(nd, 0);
-        t.disk_writes.resize(nd, 0);
+      for (auto* v : {&t.disk_reads, &t.disk_writes, &t.disk_read_calls,
+                      &t.disk_write_calls}) {
+        if (v->size() < nd) v->resize(nd, 0);  // default-constructed
       }
-      if (t.disk_read_calls.size() < nd) {
-        t.disk_read_calls.resize(nd, 0);
-        t.disk_write_calls.resize(nd, 0);
-      }
-      t.read_ops += rounds;
-      t.blocks_read += blocks;
-      t.read_calls += calls;
-      t.sim_time_s += sim;
-      for (const auto& r : reqs) t.disk_reads[r.where.disk] += r.count;
-      for (const auto& c : co_reads_) ++t.disk_read_calls[c.where.disk];
+      charge<Req>(t, reqs, co, rounds, blocks, sim);
     });
   }
   return rounds;
 }
 
-u64 IoScheduler::account_write(std::span<const WriteReq> reqs) {
-  if (reqs.empty()) {
-    co_writes_.clear();
-    co_write_rounds_ = 0;
-    return 0;
-  }
-  u64 blocks = 0;
-  for (const auto& w : reqs) {
-    PDM_CHECK(w.where.disk < backend_->num_disks(), "write: bad disk");
-    PDM_CHECK(w.count > 0, "write: empty request");
-    blocks += w.count;
-    for (u64 b = 0; b < w.count; ++b) {
-      stats_.hash_request(w.where.disk, w.where.index + b, /*is_write=*/true);
-    }
-    stats_.disk_writes[w.where.disk] += w.count;
-  }
-  const u64 rounds = count_block_rounds<WriteReq>(reqs, backend_->num_disks());
-  const double sim = static_cast<double>(rounds) *
-                     cost_.round_cost(backend_->block_bytes());
-  stats_.write_ops += rounds;
-  stats_.blocks_written += blocks;
-  stats_.sim_time_s += sim;
-  if (coalescing_) {
-    coalesce_batch<WriteReq>(reqs, backend_->block_bytes(),
-                             backend_->num_disks(), co_writes_);
-  } else {
-    co_writes_.assign(reqs.begin(), reqs.end());
-  }
-  co_write_rounds_ =
-      count_req_rounds<WriteReq>(co_writes_, backend_->num_disks());
-  stats_.write_calls += co_writes_.size();
-  for (const auto& c : co_writes_) ++stats_.disk_write_calls[c.where.disk];
-  if (totals_ != nullptr) {
-    const usize nd = backend_->num_disks();
-    const usize calls = co_writes_.size();
-    totals_->update([&](IoStats& t) {
-      if (t.disk_writes.size() < nd) {  // default-constructed aggregate
-        t.disk_reads.resize(nd, 0);
-        t.disk_writes.resize(nd, 0);
-      }
-      if (t.disk_write_calls.size() < nd) {
-        t.disk_read_calls.resize(nd, 0);
-        t.disk_write_calls.resize(nd, 0);
-      }
-      t.write_ops += rounds;
-      t.blocks_written += blocks;
-      t.write_calls += calls;
-      t.sim_time_s += sim;
-      for (const auto& w : reqs) t.disk_writes[w.where.disk] += w.count;
-      for (const auto& c : co_writes_) ++t.disk_write_calls[c.where.disk];
-    });
-  }
-  return rounds;
-}
-
-u64 IoScheduler::read(std::span<const ReadReq> reqs) {
+template <class Req>
+u64 IoScheduler::execute(std::span<const Req> reqs) {
   if (reqs.empty()) return 0;
   if (pipeline_ != nullptr && pipeline_->enabled()) {
-    return pipeline_->read(reqs);
+    if constexpr (std::is_same_v<Req, WriteReq>) {
+      return pipeline_->write(reqs);
+    } else {
+      return pipeline_->read(reqs);
+    }
   }
-  const u64 rounds = account_read(reqs);
-  const u64 executed = run_rounds<ReadReq>(
-      co_reads_, backend_->num_disks(),
-      [this](std::span<const ReadReq> round) { backend_->read_batch(round); });
-  PDM_ASSERT(executed == co_read_rounds_, "round accounting mismatch");
+  const u64 rounds = account(reqs);
+  const std::span<const Req> co = coalesced_buf<Req>();
+  const u64 executed = run_rounds<Req>(
+      co, backend_->num_disks(), [this](std::span<const Req> round) {
+        if constexpr (std::is_same_v<Req, WriteReq>) {
+          backend_->write_batch(round);
+        } else {
+          backend_->read_batch(round);
+        }
+      });
+  PDM_ASSERT(executed == count_req_rounds<Req>(co, backend_->num_disks()),
+             "round accounting mismatch");
   return rounds;
 }
+
+template u64 IoScheduler::account(std::span<const ReadReq>);
+template u64 IoScheduler::account(std::span<const WriteReq>);
+
+u64 IoScheduler::read(std::span<const ReadReq> reqs) { return execute(reqs); }
 
 u64 IoScheduler::write(std::span<const WriteReq> reqs) {
-  if (reqs.empty()) return 0;
-  if (pipeline_ != nullptr && pipeline_->enabled()) {
-    return pipeline_->write(reqs);
-  }
-  const u64 rounds = account_write(reqs);
-  const u64 executed = run_rounds<WriteReq>(
-      co_writes_, backend_->num_disks(),
-      [this](std::span<const WriteReq> round) { backend_->write_batch(round); });
-  PDM_ASSERT(executed == co_write_rounds_, "round accounting mismatch");
-  return rounds;
+  return execute(reqs);
 }
 
 }  // namespace pdm

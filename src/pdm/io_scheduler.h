@@ -32,6 +32,7 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "pdm/disk_backend.h"
@@ -55,20 +56,20 @@ class IoScheduler {
   /// Executes all writes; returns the number of parallel operations used.
   u64 write(std::span<const WriteReq> reqs);
 
-  /// Stats-only halves of read()/write(): charge the batch exactly as the
-  /// synchronous path would (request hashes in submission order, rounds =
-  /// max per-disk block load) without touching the backend, and leave the
-  /// coalesced batch in last_coalesced_reads()/writes() (valid until the
-  /// next account call). Used by the async pipeline; calling them and then
-  /// executing the coalesced requests in any per-disk FIFO order yields
-  /// byte- and stats-identical results.
-  u64 account_read(std::span<const ReadReq> reqs);
-  u64 account_write(std::span<const WriteReq> reqs);
+  /// Stats-only half of read()/write() (Req = ReadReq or WriteReq): charge
+  /// the batch exactly as the synchronous path would (request hashes in
+  /// submission order, rounds = max per-disk block load) without touching
+  /// the backend, and leave the coalesced batch in last_coalesced<Req>()
+  /// (valid until the next account call of that type). Used by the async
+  /// pipeline; calling it and then executing the coalesced requests in any
+  /// per-disk FIFO order yields byte- and stats-identical results.
+  template <class Req>
+  u64 account(std::span<const Req> reqs);
 
-  /// The coalesced form of the last account_read()/account_write() batch.
-  std::span<const ReadReq> last_coalesced_reads() const { return co_reads_; }
-  std::span<const WriteReq> last_coalesced_writes() const {
-    return co_writes_;
+  /// The coalesced form of the last account() batch of that type.
+  template <class Req>
+  std::span<const Req> last_coalesced() {
+    return coalesced_buf<Req>();
   }
 
   /// Toggles extent coalescing (default on). Off = every request reaches
@@ -91,13 +92,25 @@ class IoScheduler {
   void attach_pipeline(AsyncIoScheduler* pipeline) { pipeline_ = pipeline; }
   AsyncIoScheduler* pipeline() const noexcept { return pipeline_; }
 
-  /// Wires a shared aggregate: every accounting charge is mirrored into
-  /// `totals` (thread-safely) at the same submission points, so a service
-  /// holding one aggregate over many job schedulers sees per-job stats sum
-  /// exactly to its totals. Not owned; must outlive this scheduler.
+  /// Wires a shared aggregate: every accounting charge is applied to
+  /// `totals` too (under its lock) at the same submission points, so a
+  /// service holding one aggregate over many job schedulers sees per-job
+  /// stats sum exactly to its totals. Not owned; must outlive this
+  /// scheduler.
   void attach_totals(SharedIoTotals* totals) { totals_ = totals; }
 
  private:
+  template <class Req>
+  std::vector<Req>& coalesced_buf() {
+    if constexpr (std::is_same_v<Req, WriteReq>) {
+      return co_writes_;
+    } else {
+      return co_reads_;
+    }
+  }
+  template <class Req>
+  u64 execute(std::span<const Req> reqs);
+
   DiskBackend* backend_;
   CostModel cost_;
   IoStats stats_;
@@ -106,8 +119,6 @@ class IoScheduler {
   bool coalescing_ = true;
   std::vector<ReadReq> co_reads_;    // coalesced form of the last batch
   std::vector<WriteReq> co_writes_;
-  u64 co_read_rounds_ = 0;   // rounds of the coalesced batch (execution)
-  u64 co_write_rounds_ = 0;
 };
 
 }  // namespace pdm

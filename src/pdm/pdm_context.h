@@ -90,11 +90,12 @@ class PdmContext {
 
   /// Opt-in knob for the double-buffered pipeline: >= 2 enables it with
   /// that many in-flight submissions; 0/1 keeps every I/O synchronous.
-  /// Sorters override it per-invocation via their options' async_depth.
-  /// Overlap costs memory, all budget-tracked: the ping-pong hot paths
-  /// hold one extra load buffer (up to +M records) and the write-behind
-  /// ring stages up to 2 in-flight batches — so do not enable it on a
-  /// context whose MemoryBudget limit is sized to the synchronous slack.
+  /// Depth is a context property; AsyncDepthScope overrides it for one
+  /// call. Overlap costs memory, all budget-tracked: a streaming pass's
+  /// read-ahead ring holds one extra load slab (up to +M records) and the
+  /// write-behind ring stages up to 2 in-flight batches — so do not
+  /// enable it on a context whose MemoryBudget limit is sized to the
+  /// synchronous slack.
   void set_async_depth(usize depth) { aio_.set_depth(depth); }
   usize async_depth() const noexcept { return aio_.depth(); }
 

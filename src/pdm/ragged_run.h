@@ -4,6 +4,10 @@
 // phase, padding the final block of each bucket; the pads are what cost the
 // extra µ fraction of a pass that Theorem 7.1 accounts for. RaggedRun keeps
 // the per-block occupancy so readers can skip the padding.
+//
+// StripedRun and RaggedRun expose the same three read members — num_blocks,
+// read_req and records_in_block — so the helpers below read a block range
+// of either with its padding skipped.
 #pragma once
 
 #include <cstring>
@@ -15,26 +19,69 @@
 
 namespace pdm {
 
+/// The batch that reads blocks [first, first + count) of `run` into dst
+/// (count * rpb records of space); valid[i] is set to the records block
+/// first + i holds.
+template <class Run, class R>
+std::vector<ReadReq> block_range_reqs(const Run& run, u64 first, u64 count,
+                                      R* dst, std::vector<usize>& valid) {
+  PDM_CHECK(first + count <= run.num_blocks(), "block range out of bounds");
+  std::vector<ReadReq> reqs;
+  reqs.reserve(static_cast<usize>(count));
+  valid.resize(static_cast<usize>(count));
+  for (u64 b = 0; b < count; ++b) {
+    reqs.push_back(run.read_req(first + b, dst + b * run.rpb()));
+    valid[b] = run.records_in_block(first + b);
+  }
+  return reqs;
+}
+
+/// Squeezes the padding out of valid.size() consecutive rpb-record blocks
+/// at dst, in place; returns the number of valid records now at the front.
+template <class R>
+usize compact_blocks(R* dst, usize rpb, std::span<const usize> valid) {
+  usize n = 0;
+  for (usize i = 0; i < valid.size(); ++i) {
+    if (n != i * rpb && valid[i] > 0) {
+      std::memmove(dst + n, dst + i * rpb, valid[i] * sizeof(R));
+    }
+    n += valid[i];
+  }
+  return n;
+}
+
+/// Reads blocks [first, first + count) of `run` in one batched parallel
+/// read and compacts them (dst must hold count * rpb records); returns the
+/// number of valid records.
+template <class Run, class R>
+usize read_compacted(const Run& run, u64 first, u64 count, R* dst) {
+  std::vector<usize> valid;
+  run.ctx().io().read(block_range_reqs(run, first, count, dst, valid));
+  return compact_blocks(dst, run.rpb(), valid);
+}
+
 template <Record R>
 class RaggedRun {
  public:
-  struct Segment {
-    BlockRef where;
-    u32 count = 0;  // valid records in this block
-  };
-
   RaggedRun() = default;
 
   explicit RaggedRun(PdmContext& ctx, u32 start_disk = 0)
       : ctx_(&ctx), start_disk_(start_disk % ctx.D()), rpb_(ctx.rpb<R>()) {}
 
+  PdmContext& ctx() const { return *ctx_; }
   u64 size() const noexcept { return size_; }
   usize rpb() const noexcept { return rpb_; }
-  u64 num_segments() const noexcept { return segs_.size(); }
-  const Segment& segment(u64 i) const { return segs_[i]; }
 
   /// Total blocks including padding: the write-amplification measure.
-  u64 blocks_on_disk() const noexcept { return segs_.size(); }
+  u64 num_blocks() const noexcept { return segs_.size(); }
+
+  /// Valid records in block i.
+  usize records_in_block(u64 i) const { return segs_[i].count; }
+
+  /// Read request for block i into caller memory (rpb records of space).
+  ReadReq read_req(u64 i, R* dst) const {
+    return ReadReq{segs_[i].where, reinterpret_cast<std::byte*>(dst)};
+  }
 
   /// Stages one block holding `count <= rpb` valid records. `block_buf`
   /// must hold rpb records, already padded by the caller, and stay alive
@@ -56,58 +103,18 @@ class RaggedRun {
     return WriteReq{ref, reinterpret_cast<const std::byte*>(block_buf)};
   }
 
-  /// Reads segments [first, first+count) batched, compacting the valid
-  /// records to the front of dst (which must hold count*rpb records).
-  /// Returns the number of valid records.
-  usize read_segments(u64 first, u64 count, R* dst) const {
-    ctx_->aio().wait(read_segments_async(first, count, dst));
-    return compact_segments(first, count, dst);
-  }
-
-  /// Asynchronous half: stages the segment reads block-granular into dst
-  /// and returns the completion ticket. After waiting it, call
-  /// compact_segments with the same arguments to squeeze out the padding.
-  IoTicket read_segments_async(u64 first, u64 count, R* dst) const {
-    PDM_CHECK(first + count <= segs_.size(), "segment range out of bounds");
-    std::vector<ReadReq> reqs;
-    reqs.reserve(static_cast<usize>(count));
-    for (u64 i = 0; i < count; ++i) {
-      reqs.push_back(ReadReq{segs_[first + i].where,
-                             reinterpret_cast<std::byte*>(dst + i * rpb_)});
-    }
-    return ctx_->aio().read_async(reqs);
-  }
-
-  /// Compacts block-granular data staged by read_segments_async in place;
-  /// returns the number of valid records.
-  usize compact_segments(u64 first, u64 count, R* dst) const {
-    usize valid = 0;
-    for (u64 i = 0; i < count; ++i) {
-      const usize c = segs_[first + i].count;
-      if (valid != i * rpb_ && c > 0) {
-        std::memmove(dst + valid, dst + i * rpb_, c * sizeof(R));
-      }
-      valid += c;
-    }
-    return valid;
-  }
-
-  /// Sum of valid records over a segment range (metadata only).
-  usize valid_in_segments(u64 first, u64 count) const {
-    PDM_CHECK(first + count <= segs_.size(), "segment range out of bounds");
-    usize valid = 0;
-    for (u64 i = 0; i < count; ++i) valid += segs_[first + i].count;
-    return valid;
-  }
-
   std::vector<R> read_all() const {
     std::vector<R> out(segs_.size() * rpb_);
-    usize n = segs_.empty() ? 0 : read_segments(0, segs_.size(), out.data());
-    out.resize(n);
+    out.resize(read_compacted(*this, 0, segs_.size(), out.data()));
     return out;
   }
 
  private:
+  struct Segment {
+    BlockRef where;
+    u32 count = 0;  // valid records in this block
+  };
+
   PdmContext* ctx_ = nullptr;
   std::vector<Segment> segs_;
   u64 size_ = 0;

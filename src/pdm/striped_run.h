@@ -274,14 +274,7 @@ class StripedRun {
   /// Reads `count` consecutive blocks starting at `first` into dst (which
   /// must hold count*rpb records) with one batched parallel read.
   void read_blocks(u64 first, u64 count, R* dst) const {
-    ctx_->aio().wait(read_blocks_async(first, count, dst));
-  }
-
-  /// Asynchronous variant: stages the batch and returns its completion
-  /// ticket (0 when the pipeline is disabled and the read already
-  /// happened). dst must stay alive until the ticket completes.
-  IoTicket read_blocks_async(u64 first, u64 count, R* dst) const {
-    return ctx_->aio().read_async(read_reqs(first, count, dst));
+    ctx_->io().read(read_reqs(first, count, dst));
   }
 
   /// The request batch read_blocks issues, for callers that submit it

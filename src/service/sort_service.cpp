@@ -112,6 +112,22 @@ AdmissionSlack algo_admission_slack(Algo a) {
   }
 }
 
+/// Arbitrates one service-wide resource, async depth or kernel threads:
+/// raises a grant of `have` toward the fair share of `total` over
+/// `parties` (at least 2), as far as the free capacity `total - in_use`
+/// allows, and returns the new grant. `have` comes back unchanged when
+/// the raise would leave it below 2 or `total < 2`.
+usize grant_toward_share(usize total, usize& in_use, usize parties,
+                         usize have) {
+  if (total < 2) return have;
+  const usize fair = std::max<usize>(2, total / std::max<usize>(1, parties));
+  if (have >= fair) return have;
+  const usize target = std::min(fair, have + (total - in_use));
+  if (target <= have || target < 2) return have;
+  in_use += target - have;
+  return target;
+}
+
 }  // namespace
 
 usize SortService::admission_carve(const SortJobSpec& spec,
@@ -130,8 +146,7 @@ usize SortService::admission_carve(const SortJobSpec& spec,
   double par_mult = cfg_.cpu_threads_total >= 2 ? 2.0 : 0.0;
   usize base = uniform;
   const usize bb = backend_->block_bytes();
-  if (cfg_.plan_aware_admission && n > 0 && record_bytes > 0 &&
-      bb % record_bytes == 0) {
+  if (n > 0 && record_bytes > 0 && bb % record_bytes == 0) {
     if (auto e = plans_.try_entry(n, spec.mem_records, bb / record_bytes,
                                   spec.alpha)) {
       const AdmissionSlack s = algo_admission_slack(e->algo);
@@ -254,8 +269,7 @@ JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
     for (const Job* p : pending_) {
       if (queue_before(*p, *job)) backlog += p->est_run_s;
     }
-    const double cal =
-        cfg_.deadline_calibration && cal_ratio_ > 0 ? cal_ratio_ : 1.0;
+    const double cal = cal_ratio_ > 0 ? cal_ratio_ : 1.0;
     const double wait = cal * backlog / static_cast<double>(cfg_.workers);
     const double run = cal * job->est_run_s;
     if (wait + run > job->spec.deadline_s) {
@@ -583,28 +597,6 @@ SortService::Claim SortService::try_claim_locked() {
   return {};
 }
 
-usize SortService::grant_depth_locked() {
-  if (cfg_.io_depth_total < 2) return 0;
-  const usize share =
-      std::max<usize>(2, cfg_.io_depth_total / std::max<usize>(1, cfg_.workers));
-  const usize avail = cfg_.io_depth_total - depth_in_use_;
-  const usize depth = std::min(share, avail);
-  if (depth < 2) return 0;
-  depth_in_use_ += depth;
-  return depth;
-}
-
-usize SortService::grant_cpu_locked() {
-  if (cfg_.cpu_threads_total < 2) return 0;
-  const usize share = std::max<usize>(
-      2, cfg_.cpu_threads_total / std::max<usize>(1, cfg_.workers));
-  const usize avail = cfg_.cpu_threads_total - cpu_in_use_;
-  const usize cpu = std::min(share, avail);
-  if (cpu < 2) return 0;
-  cpu_in_use_ += cpu;
-  return cpu;
-}
-
 void SortService::regrant_locked() {
   // A finished job returned its grants: top the survivors up toward the
   // fair share at the *current* occupancy instead of letting the freed
@@ -613,30 +605,20 @@ void SortService::regrant_locked() {
   // parallel region; AsyncIoScheduler::raise_depth widens the pipeline
   // without a quiesce). Stats stay byte-identical because both knobs are
   // accounted at submission, not at completion.
-  const usize tasks = std::max<usize>(1, active_grants_.size());
-  if (cfg_.io_depth_total >= 2) {
-    const usize fair = std::max<usize>(2, cfg_.io_depth_total / tasks);
-    for (auto& g : active_grants_) {
-      if (g.depth >= fair) continue;
-      const usize avail = cfg_.io_depth_total - depth_in_use_;
-      const usize target = std::min(fair, g.depth + avail);
-      if (target <= g.depth || target < 2) continue;
-      depth_in_use_ += target - g.depth;
-      g.depth = target;
-      g.ctx->raise_async_depth(target);
-    }
+  const usize tasks = active_grants_.size();
+  for (auto& g : active_grants_) {
+    const usize depth = grant_toward_share(cfg_.io_depth_total,
+                                           depth_in_use_, tasks, g.depth);
+    if (depth == g.depth) continue;
+    g.depth = depth;
+    g.ctx->raise_async_depth(depth);
   }
-  if (cfg_.cpu_threads_total >= 2) {
-    const usize fair = std::max<usize>(2, cfg_.cpu_threads_total / tasks);
-    for (auto& g : active_grants_) {
-      if (g.cpu >= fair) continue;
-      const usize avail = cfg_.cpu_threads_total - cpu_in_use_;
-      const usize target = std::min(fair, g.cpu + avail);
-      if (target <= g.cpu || target < 2) continue;
-      cpu_in_use_ += target - g.cpu;
-      g.cpu = target;
-      g.ctx->set_cpu_budget(target);
-    }
+  for (auto& g : active_grants_) {
+    const usize cpu = grant_toward_share(cfg_.cpu_threads_total, cpu_in_use_,
+                                         tasks, g.cpu);
+    if (cpu == g.cpu) continue;
+    g.cpu = cpu;
+    g.ctx->set_cpu_budget(cpu);
   }
   update_cpu_gauges_locked();
 }
@@ -664,8 +646,10 @@ void SortService::worker_loop() {
       continue;
     }
     ++active_tasks_;
-    const usize depth = grant_depth_locked();
-    const usize cpu = grant_cpu_locked();
+    const usize depth = grant_toward_share(cfg_.io_depth_total, depth_in_use_,
+                                           cfg_.workers, 0);
+    const usize cpu = grant_toward_share(cfg_.cpu_threads_total, cpu_in_use_,
+                                         cfg_.workers, 0);
     ++batches_run_;
     lock.unlock();
 
@@ -849,7 +833,7 @@ void SortService::run_one(Job& job, PdmContext& ctx) {
     job.deadline_missed =
         job.spec.deadline_s > 0 &&
         seconds(job.t_end - job.t_submit) > job.spec.deadline_s;
-    if (cfg_.deadline_calibration && job.est_run_s > 0) {
+    if (job.est_run_s > 0) {
       // Observed wall seconds per modeled second, smoothed: the factor
       // future deadline-admission estimates are scaled by.
       const double run_s = seconds(job.t_end - job.t_start);

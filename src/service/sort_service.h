@@ -76,20 +76,15 @@ struct ServiceConfig {
   /// documented per-algorithm working-set slack (~2.5M) plus the async
   /// pipeline's extra load buffer and write-behind slabs, rounded up.
   /// This is the conservative bound used when the job's shape has no
-  /// cached plan yet; see plan_aware_admission.
-  double mem_slack = 6.0;
-
-  /// Plan-cache-aware admission: when a submitted shape's PlanEntry is
-  /// already cached, the carve uses that algorithm's calibrated
-  /// working-set model (InternalSort ~3.25M + 2·D·B, the LMM family
-  /// ~5.5M + 8·D·B, both including the pipeline's second load buffer
-  /// and write-behind slabs — see algo_admission_slack in the .cpp for
-  /// the measured minima) instead of the uniform mem_slack — admitting
+  /// cached plan yet. Once a shape's PlanEntry is cached, the carve uses
+  /// that algorithm's calibrated working-set model instead (InternalSort
+  /// ~3.25M + 2·D·B, the LMM family ~5.5M + 8·D·B, both including the
+  /// pipeline's second load buffer and write-behind slabs — see
+  /// algo_admission_slack in the .cpp for the measured minima), admitting
   /// more jobs at the same safety margin. The per-algorithm carve is
-  /// never raised above mem_slack's, so tightening the global knob
-  /// still caps every admission. Uncached shapes (and explicit
-  /// SortJobSpec::carve_bytes) are unaffected.
-  bool plan_aware_admission = true;
+  /// never raised above mem_slack's, so tightening this knob still caps
+  /// every admission. Explicit SortJobSpec::carve_bytes is unaffected.
+  double mem_slack = 6.0;
 
   /// Blocks per allocation extent for job contexts (the per-syscall
   /// coalescing ceiling); <= 1 reverts to single-block bump allocation,
@@ -115,16 +110,13 @@ struct ServiceConfig {
   /// rejected if (estimated queue wait + planned pass count * parallel-op
   /// cost under `cost`) already exceeds its deadline. Off by default —
   /// the estimate is model time, which only tracks wall clock when the
-  /// backend is configured to simulate the same CostModel.
+  /// backend is configured to simulate the same CostModel. The check is
+  /// calibrated against observed wall clock: an EMA of (actual run
+  /// seconds / model-predicted seconds) over completed jobs scales both
+  /// the backlog and the run term, so it stays honest on real disks where
+  /// CostModel time and wall time diverge (ServiceStats::deadline_cal
+  /// exposes the ratio).
   bool deadline_admission = false;
-
-  /// Calibrate the deadline-admission estimate against observed wall
-  /// clock: an EMA of (actual run seconds / model-predicted seconds)
-  /// over completed jobs scales both the backlog and the run term, so
-  /// the check stays honest on real disks where CostModel time and wall
-  /// time diverge (ServiceStats::deadline_cal exposes the ratio). Only
-  /// consulted when deadline_admission is on.
-  bool deadline_calibration = true;
 
   /// Retention policy for terminal job records: keep at most this many
   /// (0 = unbounded) ...
@@ -293,8 +285,7 @@ class SortService {
   /// The memory carve this service would require of `spec` at admission:
   /// spec.carve_bytes, or slack * mem_records * record_bytes — where the
   /// slack is the per-algorithm constant when `n` is non-zero and the
-  /// shape's plan is cached (plan_aware_admission), else the conservative
-  /// mem_slack. A carve above budget().limit() means the job would be
+  /// shape's plan is cached, else the conservative mem_slack. A carve above budget().limit() means the job would be
   /// rejected — the cluster router spills such jobs to a shard where
   /// they fit.
   usize admission_carve(const SortJobSpec& spec, usize record_bytes,
@@ -308,7 +299,7 @@ class SortService {
   double estimate_run_s(const SortJobSpec& spec, usize record_bytes, u64 n);
 
   /// EMA of observed wall seconds per modeled second over completed jobs
-  /// (see ServiceConfig::deadline_calibration); 0 until the first sample.
+  /// (see ServiceConfig::deadline_admission); 0 until the first sample.
   double deadline_cal() const;
 
   /// The service-wide budget (reservations; peak = admission pressure).
@@ -331,8 +322,6 @@ class SortService {
                     std::function<void(JobExec&)> run);
   void worker_loop();
   Claim try_claim_locked();
-  usize grant_depth_locked();
-  usize grant_cpu_locked();
   /// Re-grants freed async depth and CPU threads to still-running jobs
   /// (called when a task releases its grants): each registered running
   /// context is topped up toward the fair share at the current task

@@ -214,20 +214,25 @@ inline void set_span_sink(SpanSink) {}
 
 }  // namespace pdm::trace
 
+// The value arguments stay referenced (never evaluated), so a variable
+// that only feeds a trace event is not an unused variable here.
 #define PDM_TRACE_SPAN(cat, name) \
   do {                            \
   } while (0)
 #define PDM_TRACE_SPAN_ARG(cat, name, arg_name, arg_value) \
   do {                                                     \
+    if (false) (void)(arg_value);                          \
   } while (0)
 #define PDM_TRACE_INSTANT(cat, name) \
   do {                               \
   } while (0)
 #define PDM_TRACE_INSTANT_ARG(cat, name, arg_name, arg_value) \
   do {                                                        \
+    if (false) (void)(arg_value);                             \
   } while (0)
 #define PDM_TRACE_COUNTER(cat, name, value) \
   do {                                      \
+    if (false) (void)(value);               \
   } while (0)
 
 #endif  // PDMSORT_TRACING

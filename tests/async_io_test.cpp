@@ -199,7 +199,7 @@ TEST(AsyncAlgorithms, ExpectedTwoPass) {
                                          usize depth) {
     ExpectedTwoPassOptions opt;
     opt.mem_records = 1024;
-    opt.async_depth = depth;
+    AsyncDepthScope scope(ctx.aio(), depth);
     return expected_two_pass_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
@@ -210,7 +210,7 @@ TEST(AsyncAlgorithms, ExpectedThreePass) {
                                           usize depth) {
     ExpectedThreePassOptions opt;
     opt.mem_records = 1024;
-    opt.async_depth = depth;
+    AsyncDepthScope scope(ctx.aio(), depth);
     return expected_three_pass_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
@@ -222,7 +222,7 @@ TEST(AsyncAlgorithms, MultiwayMerge) {
     MultiwaySortOptions opt;
     opt.mem_records = 1024;
     opt.lookahead = 2;
-    opt.async_depth = depth;
+    AsyncDepthScope scope(ctx.aio(), depth);
     return multiway_merge_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
@@ -235,7 +235,7 @@ TEST(AsyncAlgorithms, IntegerSort) {
     IntegerSortOptions opt;
     opt.mem_records = 1024;
     opt.range = 16;
-    opt.async_depth = depth;
+    AsyncDepthScope scope(ctx.aio(), depth);
     auto data = in.read_all();
     for (auto& k : data) k %= opt.range;
     auto remapped = write_input_run<u64>(ctx, std::span<const u64>(data));
@@ -251,7 +251,7 @@ TEST(AsyncAlgorithms, RadixSort) {
     RadixSortOptions opt;
     opt.mem_records = 1024;
     opt.key_bits = 20;
-    opt.async_depth = depth;
+    AsyncDepthScope scope(ctx.aio(), depth);
     auto data = in.read_all();
     for (auto& k : data) k &= (u64{1} << 20) - 1;
     auto remapped = write_input_run<u64>(ctx, std::span<const u64>(data));
@@ -274,7 +274,7 @@ TEST(AsyncAlgorithms, FileBackendExpectedTwoPass) {
     auto in = test::stage_input<u64>(*ctx, data);
     ExpectedTwoPassOptions opt;
     opt.mem_records = 1024;
-    opt.async_depth = pass == 0 ? 0 : 4;
+    AsyncDepthScope scope(ctx->aio(), pass == 0 ? 0 : 4);
     outs[pass] = expected_two_pass_sort<u64>(*ctx, in, opt).output.read_all();
     ctx->aio().drain();
     stats[pass] = ctx->stats();

@@ -564,10 +564,15 @@ TEST(ClusterScenarios, StressSubmitsAndCancelsDuringTopologyChanges)
       for (int j = 0; j < kPerThread; ++j) {
         auto r = std::make_shared<std::atomic<int>>(0);
         const u64 n = (1 + static_cast<u64>(j % 3)) * kMem;
+        // Appended piecewise: GCC 12 reports a false -Wrestrict on
+        // "s" + std::to_string(t).
+        std::string name = "s";
+        name += std::to_string(t);
+        name += '-';
+        name += std::to_string(j);
         JobId id = submit_counted(
             cluster,
-            spec_of("s" + std::to_string(t) + "-" + std::to_string(j),
-                    "tenant-" + std::to_string((t + j) % 7), j % 2),
+            spec_of(name, "tenant-" + std::to_string((t + j) % 7), j % 2),
             make_keys(static_cast<usize>(n), Dist::kUniform, rng), r, bad);
         std::lock_guard g(ids_mu);
         ids.push_back(id);

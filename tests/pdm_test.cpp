@@ -199,7 +199,7 @@ TEST(RaggedRun, StagesAndCompacts) {
   reqs.push_back(run.stage_block(b3.data(), 1));
   ctx->io().write(reqs);
   EXPECT_EQ(run.size(), 8u);
-  EXPECT_EQ(run.blocks_on_disk(), 3u);
+  EXPECT_EQ(run.num_blocks(), 3u);
   auto all = run.read_all();
   EXPECT_EQ(all, (std::vector<u64>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
